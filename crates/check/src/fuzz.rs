@@ -280,7 +280,9 @@ impl CheckScenario {
                 }
                 "policy" => {
                     let name = single()?;
-                    policy = Some(parse_policy(name)?);
+                    // Any spelling of a registry row; `render` writes the
+                    // display name.
+                    policy = Some(kind_of(name).ok_or_else(|| format!("unknown policy '{name}'"))?);
                 }
                 "policy-params" => {
                     policy_params = ParamBag::parse(single()?)
@@ -397,16 +399,6 @@ impl CheckScenario {
             fault_plan: plan,
         })
     }
-}
-
-fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    // Historical Display names first (what `render` emits), then the
-    // registry's kebab-case names so a spec can be written against either.
-    PolicyKind::ALL
-        .into_iter()
-        .find(|p| p.to_string() == name)
-        .or_else(|| kind_of(name))
-        .ok_or_else(|| format!("unknown policy '{name}'"))
 }
 
 /// Generates the scenario for fuzz iteration `iter` of run seed `seed`.
@@ -933,7 +925,10 @@ mod tests {
                     job submit_us=0 cpu_work_us=5000000 ws_mb=16 malleable=1:3\n";
         let scenario = CheckScenario::parse(text).unwrap();
         assert_eq!(scenario.policy, PolicyKind::Malleable);
-        assert_eq!(scenario.policy_params.get::<u32>("max_step").unwrap(), Some(2));
+        assert_eq!(
+            scenario.policy_params.get::<u32>("max_step").unwrap(),
+            Some(2)
+        );
         assert_eq!(scenario.jobs[0].malleable, Some((1, 3)));
         let rendered = scenario.render();
         assert_eq!(CheckScenario::parse(&rendered).unwrap(), scenario);

@@ -48,8 +48,7 @@ use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_workload::trace::Trace;
 use vrecon::config::{PendingDiscipline, ReservingEnd, SimConfig};
-use vrecon::plugin::{FractionalParams, MalleableParams};
-use vrecon::policy::PolicyKind;
+use vrecon::policy::{FractionalParams, MalleableParams, PolicyKind};
 use vrecon::report::{RunReport, SchedulerCounters};
 use vrecon::reservation::ReservationStats;
 
@@ -857,6 +856,29 @@ impl Oracle {
 
     // ---- placement policies ----------------------------------------------
 
+    // The capability flags, restated here rather than read from the
+    // engine's `Policy` impls.
+
+    fn migrates_on_overload(&self) -> bool {
+        matches!(
+            self.config.policy,
+            PolicyKind::GLoadSharing
+                | PolicyKind::VReconfiguration
+                | PolicyKind::SuspendLargest
+                | PolicyKind::WeightedCpuMem
+                | PolicyKind::Malleable
+                | PolicyKind::Fractional
+        )
+    }
+
+    fn reconfigures(&self) -> bool {
+        matches!(self.config.policy, PolicyKind::VReconfiguration)
+    }
+
+    fn suspends_on_blocking(&self) -> bool {
+        matches!(self.config.policy, PolicyKind::SuspendLargest)
+    }
+
     fn place(&mut self, job: &RunningJob, home: u32) -> OPlacement {
         match self.config.policy {
             PolicyKind::NoLoadSharing => match self.index_get(home) {
@@ -1100,7 +1122,7 @@ impl Oracle {
     }
 
     fn overload_scan(&mut self, now: SimTime) {
-        if !self.config.policy.migrates_on_overload() {
+        if !self.migrates_on_overload() {
             return;
         }
         for i in 0..self.nodes.len() {
@@ -1145,9 +1167,9 @@ impl Oracle {
                         self.blocked_nodes.push(src);
                         self.counters.blocking_detections += 1;
                     }
-                    if self.config.policy.reconfigures() {
+                    if self.reconfigures() {
                         self.reconfigure(src, now);
-                    } else if self.config.policy.suspends_on_blocking()
+                    } else if self.suspends_on_blocking()
                         && self
                             .suspend_counts
                             .iter()
@@ -1934,7 +1956,12 @@ mod tests {
             let engine = Simulation::new(config.clone()).run(&trace);
             let oracle = run_oracle(&config, &trace, OracleSkew::None).unwrap();
             let diff = compare_reports(&engine, &oracle, crate::fuzz::DIFF_TOLERANCE);
-            assert!(diff.is_match(), "oversub {:?}: {}", params.render(), diff.render());
+            assert!(
+                diff.is_match(),
+                "oversub {:?}: {}",
+                params.render(),
+                diff.render()
+            );
         }
     }
 }

@@ -14,9 +14,8 @@ use vr_simcore::rng::SimRng;
 use vr_simcore::time::SimTime;
 use vr_workload::trace::Trace;
 use vrecon::config::SimConfig;
-use vrecon::plugin::{kind_of, policy_name, FractionalParams, ParamBag};
-use vrecon::policy::PolicyKind;
-use vrecon::report_json::encode_report;
+use vrecon::plugin::ParamBag;
+use vrecon::policy::{FractionalParams, PolicyKind};
 use vrecon::{compare_reports, Simulation};
 
 /// Two job specs are interchangeable if they differ at most in id and name.
@@ -234,51 +233,6 @@ pub fn zero_fault_plan_equivalence(config: &SimConfig, trace: &Trace) -> Result<
             diff.render()
         }
     ))
-}
-
-/// **Property: registry-built ≡ enum-built.**
-///
-/// Resolving the config's policy through the string registry (name →
-/// kind) and round-tripping its parameter bag through `render`/`parse`
-/// must produce a run whose encoded report is *byte-identical* to the
-/// original's: the registry is an addressing layer, not a behaviour
-/// layer.
-///
-/// # Errors
-///
-/// Returns an error if the registry loses or remaps the policy, the bag
-/// fails to round-trip, or the two encoded reports differ anywhere.
-pub fn registry_enum_equivalence(config: &SimConfig, trace: &Trace) -> Result<(), String> {
-    config.validate()?;
-    trace.validate()?;
-    let name = policy_name(config.policy);
-    let kind = kind_of(name).ok_or_else(|| format!("registry lost policy `{name}`"))?;
-    if kind != config.policy {
-        return Err(format!(
-            "registry maps `{name}` to {kind}, not {}",
-            config.policy
-        ));
-    }
-    let bag = ParamBag::parse(&config.policy_params.render())
-        .map_err(|e| format!("parameter bag failed to round-trip: {e}"))?;
-    if bag != config.policy_params {
-        return Err("parameter bag changed under render/parse".to_owned());
-    }
-    let mut registry_config = config.clone();
-    registry_config.policy = kind;
-    registry_config.policy_params = bag;
-
-    let base = Simulation::new(config.clone()).run(trace);
-    let rebuilt = Simulation::new(registry_config).run(trace);
-    if encode_report(&base) == encode_report(&rebuilt) {
-        Ok(())
-    } else {
-        let diff = compare_reports(&base, &rebuilt, 0.0);
-        Err(format!(
-            "registry-built run diverged from enum-built:\n{}",
-            diff.render()
-        ))
-    }
 }
 
 /// **Property: a frozen malleable range is G-Loadsharing.**
@@ -515,16 +469,6 @@ mod tests {
         }
     }
 
-    /// Per-policy parameter bags with non-default values, so the registry
-    /// equivalence run exercises the parse/render path with real content.
-    fn bag_for(policy: PolicyKind) -> ParamBag {
-        match policy {
-            PolicyKind::Malleable => ParamBag::new().with("max_step", 2),
-            PolicyKind::Fractional => ParamBag::new().with("oversub", 1.5),
-            _ => ParamBag::new(),
-        }
-    }
-
     fn annotate_malleable(mut trace: Trace, min: u32, max: u32) -> Trace {
         for (i, job) in trace.jobs.iter_mut().enumerate() {
             if i % 2 == 0 {
@@ -535,21 +479,6 @@ mod tests {
             }
         }
         trace
-    }
-
-    #[test]
-    fn registry_build_equals_enum_build_for_all_policies() {
-        let trace = annotate_malleable(
-            burst_trace(&[(0, 4, 30, 40), (10, 3, 60, 80), (50, 2, 15, 20)]),
-            1,
-            2,
-        );
-        for policy in PolicyKind::ALL {
-            let config = SimConfig::new(small_cluster(4), policy)
-                .with_seed(11)
-                .with_policy_params(bag_for(policy));
-            registry_enum_equivalence(&config, &trace).unwrap_or_else(|e| panic!("{policy}: {e}"));
-        }
     }
 
     #[test]
@@ -624,19 +553,6 @@ mod tests {
             let round = ParamBag::parse(&bag.render())
                 .unwrap_or_else(|e| panic!("render/parse failed on {:?}: {e}", bag.render()));
             assert_eq!(bag, round, "bag changed under round-trip");
-        }
-    }
-
-    #[test]
-    fn every_registry_entry_rejects_unknown_keys() {
-        for entry in vrecon::plugin::registry() {
-            let bag = ParamBag::new().with("definitely_not_a_knob", 1);
-            let err = vrecon::plugin::build_named(entry.name, &bag);
-            assert!(
-                err.is_err(),
-                "{} accepted an unknown parameter key",
-                entry.name
-            );
         }
     }
 

@@ -150,9 +150,10 @@ fn parse_level(raw: &str) -> Result<TraceLevel, ArgError> {
     }
 }
 
-/// Parses `--policy name[:k=v,...]`: a historical short name or any
-/// registry name, optionally followed by a parameter bag for the families
-/// that take knobs (e.g. `malleable:max_step=2`, `fractional:oversub=1.5`).
+/// Parses `--policy name[:k=v,...]`: any spelling of a registry row —
+/// short token (`gls`), registry name (`g-loadsharing`) or display name —
+/// optionally followed by a parameter bag for the families that take knobs
+/// (e.g. `malleable:max_step=2`, `fractional:oversub=1.5`).
 fn parse_policy(raw: &str) -> Result<(PolicyKind, ParamBag), ArgError> {
     let (name, params) = match raw.split_once(':') {
         Some((name, params)) => (
@@ -162,23 +163,11 @@ fn parse_policy(raw: &str) -> Result<(PolicyKind, ParamBag), ArgError> {
         ),
         None => (raw, ParamBag::new()),
     };
-    let kind = match name {
-        "none" => Some(PolicyKind::NoLoadSharing),
-        "random" => Some(PolicyKind::Random),
-        "cpu" => Some(PolicyKind::CpuOnly),
-        "gls" => Some(PolicyKind::GLoadSharing),
-        "weighted" => Some(PolicyKind::WeightedCpuMem),
-        "suspend" => Some(PolicyKind::SuspendLargest),
-        "vrecon" => Some(PolicyKind::VReconfiguration),
-        // Fall through to the plugin registry's own names
-        // (g-loadsharing, malleable, fractional, ...).
-        other => kind_of(other),
-    };
-    let kind = kind.ok_or_else(|| {
+    let kind = kind_of(name).ok_or_else(|| {
         ArgError(format!(
-            "unknown policy {name}; expected none|random|cpu|weighted|gls|suspend|vrecon \
-             or a registry name ({})",
-            registry().map(|e| e.name).join("|")
+            "unknown policy {name}; expected {} or a registry name ({})",
+            registry().each_ref().map(|e| e.token).join("|"),
+            registry().each_ref().map(|e| e.name).join("|")
         ))
     })?;
     // Surface unknown-knob errors here, where the message can name the
@@ -1326,6 +1315,35 @@ mod tests {
         let err = parse_policy("gls:max_step=2").unwrap_err();
         assert!(err.0.contains("max_step"), "{}", err.0);
         assert!(parse_policy("malleable:max_step").is_err());
+    }
+
+    /// The registry is the one table naming a family: every row's three
+    /// spellings resolve to its kind, and every kind survives the places a
+    /// name is written and read back — the `--policy` flag, the encoded
+    /// report, and the spec wire format.
+    #[test]
+    fn every_policy_spelling_round_trips() {
+        let mut scenario = CheckScenario::parse(
+            "policy gls\nnode user_mb=64 slots=2\njob submit_us=0 cpu_work_us=1000000 ws_mb=8",
+        )
+        .unwrap();
+        let (config, trace) = scenario.to_sim().unwrap();
+        let mut report = Simulation::new(config).run(&trace);
+        for row in registry() {
+            for spelling in [row.name, row.token, row.display] {
+                assert_eq!(kind_of(spelling), Some(row.kind), "{spelling}");
+                assert_eq!(
+                    parse_policy(spelling).unwrap(),
+                    (row.kind, ParamBag::new()),
+                    "--policy {spelling}"
+                );
+            }
+            report.policy = row.kind;
+            let decoded = vrecon::decode_report(&encode_report(&report)).unwrap();
+            assert_eq!(decoded, report, "{}", row.name);
+            scenario.policy = row.kind;
+            assert_eq!(CheckScenario::parse(&scenario.render()).unwrap(), scenario);
+        }
     }
 
     #[test]

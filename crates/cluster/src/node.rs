@@ -238,17 +238,6 @@ impl Workstation {
         }
     }
 
-    /// Memory occupancy re-derived from the resident jobs, bypassing the
-    /// demand cache — the old full-rescan detector, kept as the reference
-    /// for [`memory_usage`](Workstation::memory_usage) in differential
-    /// tests (`DetectorMode::Rescan`).
-    pub fn memory_usage_rescan(&self) -> MemoryUsage {
-        MemoryUsage {
-            demand: self.jobs.iter().map(|j| j.current_working_set()).sum(),
-            user: self.params.memory.user,
-        }
-    }
-
     /// Idle user memory (as of the last advancement).
     pub fn idle_memory(&self) -> Bytes {
         self.memory_usage().idle()

@@ -117,12 +117,6 @@ pub struct SimConfig {
     ///
     /// [`RunReport::audit_violations`]: crate::report::RunReport::audit_violations
     pub audit: bool,
-    /// How the overload/blocking detector derives per-node memory state.
-    /// Both modes are required to produce byte-identical reports (pinned by
-    /// differential tests); the knob exists so the incremental caches can
-    /// be checked against the historical full rescan.
-    #[serde(default)]
-    pub detector: DetectorMode,
     /// How fresh each node's entry in the global load vector is. The paper
     /// assumes a perfect 1-second global exchange; at thousands of nodes
     /// that all-to-all broadcast is the first thing operators shed, so this
@@ -156,8 +150,12 @@ pub enum PlacementMode {
     /// Subtract in-flight (committed but not yet arrived) demand and job
     /// slots from each candidate — the same accounting migration-target
     /// selection already uses — so concurrent placements spread instead of
-    /// piling onto one workstation. Applies to the load-index policies
-    /// (G-LS, V-R, suspension); the random/CPU-only baselines ignore it.
+    /// piling onto one workstation. Applies to the families whose
+    /// [`Policy::commit_aware_placement`] is `true` — G-LS and every family
+    /// placing like it (V-R, suspension, malleable, fractional); the
+    /// no-sharing, random, CPU-only and weighted baselines ignore it.
+    ///
+    /// [`Policy::commit_aware_placement`]: crate::policy::Policy::commit_aware_placement
     CommitAware,
 }
 
@@ -181,19 +179,6 @@ pub enum LoadInfoMode {
     },
 }
 
-/// Selects the mechanism behind blocking/idle-memory detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DetectorMode {
-    /// Re-derive each node's memory demand from its resident jobs at every
-    /// query — the original O(jobs)-per-read detector, kept as the
-    /// reference implementation.
-    Rescan,
-    /// Read the per-node demand caches maintained by delta on
-    /// place/complete/migrate events (O(1) per read).
-    #[default]
-    Incremental,
-}
-
 impl SimConfig {
     /// A configuration with paper-standard knobs for the given cluster and
     /// policy.
@@ -212,7 +197,6 @@ impl SimConfig {
             max_sim_time: SimSpan::from_secs(200_000),
             fault_plan: None,
             audit: false,
-            detector: DetectorMode::default(),
             load_info: LoadInfoMode::default(),
             placement: PlacementMode::default(),
         }
@@ -247,13 +231,6 @@ impl SimConfig {
     /// (builder-style); validated by [`SimConfig::validate`].
     pub fn with_policy_params(mut self, params: ParamBag) -> Self {
         self.policy_params = params;
-        self
-    }
-
-    /// Returns the config with the given detector mode (see
-    /// [`DetectorMode`]); reports must not depend on the choice.
-    pub fn with_detector(mut self, detector: DetectorMode) -> Self {
-        self.detector = detector;
         self
     }
 

@@ -7,10 +7,10 @@
 //! adaptive virtual-reconfiguration method that reserves lightly loaded
 //! workstations to give large-memory jobs dedicated service.
 //!
-//! * [`policy`] — [`PolicyKind`]: G-Loadsharing,
-//!   V-Reconfiguration, and ablation baselines.
-//! * [`plugin`] — the [`Policy`] trait, the string-keyed policy
-//!   registry, and the [`ParamBag`] parameter grammar.
+//! * [`policy`] — the [`Policy`] trait and one impl per family:
+//!   G-Loadsharing, V-Reconfiguration, and ablation baselines.
+//! * [`plugin`] — the policy registry, the one table naming every
+//!   [`PolicyKind`], and the [`ParamBag`] parameter grammar.
 //! * [`sim`] — the trace-driven [`Simulation`] driver.
 //! * [`reservation`] — reserving periods, special service, adaptive
 //!   release.
@@ -59,12 +59,10 @@ pub mod sim;
 
 pub use audit::InvariantAuditor;
 pub use compare::{compare_reports, FieldDiff, ReportDiff};
-pub use config::{DetectorMode, PendingDiscipline, ReservationOptions, ReservingEnd, SimConfig};
+pub use config::{PendingDiscipline, ReservationOptions, ReservingEnd, SimConfig};
 pub use events::{EventLog, SchedulerEvent, SchedulerEventKind};
-pub use plugin::{
-    build_named, build_policy, policy_name, ParamBag, Policy, PolicyEntry, ResizeDirective,
-};
-pub use policy::{Placement, PolicyKind};
+pub use plugin::{build_policy, ParamBag, PolicyEntry};
+pub use policy::{Placement, Policy, PolicyKind, ResizeDirective};
 pub use report::{RunReport, SchedulerCounters};
 pub use report_json::{decode_report, encode_report};
 pub use reservation::{Reservation, ReservationManager, ReservationPhase, ReservationStats};

@@ -1,33 +1,25 @@
-//! The policy plugin layer: a [`Policy`] trait, a typed parameter bag,
-//! and a string-keyed registry.
+//! The policy registry: one table naming every family, and the typed
+//! parameter bag its builders take.
 //!
-//! [`PolicyKind`](crate::policy::PolicyKind) names the scheduling
-//! families; this module makes each of them a *plugin*: the engine holds
-//! a `Box<dyn Policy>` and consults it for placement, capability flags,
-//! the admission slot cap, and resize directives, so adding a family
-//! means adding a registry entry — not editing the engine. The design
-//! mirrors dslab's `Scheduler`/`SchedulerParams` pair: a policy is
-//! constructed from its registry name plus a [`ParamBag`] of `key=value`
-//! strings, validated up front (unknown keys are rejected).
-//!
-//! The seven classic policies delegate placement and capabilities to
-//! their `PolicyKind`, which pins the refactor: a registry-built classic
-//! policy is byte-identical to the historical enum dispatch (locked by
-//! golden and metamorphic tests). The two parameterized families are
-//! [`PolicyKind::Malleable`] (`max_step`) and [`PolicyKind::Fractional`]
-//! (`oversub`).
+//! Each [`PolicyKind`] has exactly one [`PolicyEntry`] row carrying all of
+//! its spellings — the kebab-case registry name, the short token reports
+//! and the CLI use, and the display name of tables and spec files — plus
+//! the parameter keys it accepts and its builder. [`kind_of`] resolves any
+//! of the three spellings; [`entry`] goes the other way. The design mirrors
+//! dslab's `Scheduler`/`SchedulerParams` pair: a policy is constructed from
+//! its row plus a [`ParamBag`] of `key=value` strings, validated up front
+//! (unknown keys are rejected).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
-use vr_cluster::job::{JobId, RunningJob};
-use vr_cluster::loadinfo::LoadIndex;
-use vr_cluster::node::{NodeId, Workstation};
-use vr_simcore::rng::SimRng;
 
-use crate::policy::{Placement, PolicyKind};
+use crate::policy::{
+    CpuOnly, Fractional, FractionalParams, GLoadSharing, Malleable, MalleableParams, NoLoadSharing,
+    Policy, PolicyKind, Random, SuspendLargest, VReconfiguration, WeightedCpuMem,
+};
 
 /// A typed `key=value` parameter bag for policy construction.
 ///
@@ -67,7 +59,11 @@ impl ParamBag {
             if key.is_empty() {
                 return Err(format!("parameter `{part}` has an empty key"));
             }
-            if bag.entries.insert(key.to_owned(), value.to_owned()).is_some() {
+            if bag
+                .entries
+                .insert(key.to_owned(), value.to_owned())
+                .is_some()
+            {
                 return Err(format!("duplicate parameter key `{key}`"));
             }
         }
@@ -137,10 +133,7 @@ impl ParamBag {
                 return Err(if known.is_empty() {
                     format!("unknown parameter `{key}` (this policy takes no parameters)")
                 } else {
-                    format!(
-                        "unknown parameter `{key}` (accepted: {})",
-                        known.join(", ")
-                    )
+                    format!("unknown parameter `{key}` (accepted: {})", known.join(", "))
                 });
             }
         }
@@ -148,455 +141,142 @@ impl ParamBag {
     }
 }
 
-/// A width change a policy wants applied to one resident malleable job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResizeDirective {
-    /// Raise the job's slot width to `to`.
-    Grow {
-        /// The resident job to widen.
-        job: JobId,
-        /// Its new width (> current, ≤ its `max_width`).
-        to: u32,
-    },
-    /// Lower the job's slot width to `to`.
-    Shrink {
-        /// The resident job to narrow.
-        job: JobId,
-        /// Its new width (< current, ≥ its `min_width`).
-        to: u32,
-    },
-}
-
-impl ResizeDirective {
-    /// The job the directive concerns.
-    pub fn job(self) -> JobId {
-        match self {
-            ResizeDirective::Grow { job, .. } | ResizeDirective::Shrink { job, .. } => job,
-        }
-    }
-
-    /// The target width.
-    pub fn to(self) -> u32 {
-        match self {
-            ResizeDirective::Grow { to, .. } | ResizeDirective::Shrink { to, .. } => to,
-        }
-    }
-}
-
-/// A scheduling policy plugin: placement plus the capability hooks the
-/// engine consults.
-///
-/// Implementations must be deterministic — any randomness draws from the
-/// `rng` handed to [`Policy::place`], and the resize hook sees only the
-/// node and a recomputable pressure flag, so the independent oracle can
-/// restate every decision bit-for-bit.
-pub trait Policy: fmt::Debug {
-    /// The policy family this plugin implements (reported in
-    /// [`RunReport::policy`](crate::report::RunReport::policy)).
-    fn kind(&self) -> PolicyKind;
-
-    /// Decides where a newly submitted (or pending-retried) job goes.
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement;
-
-    /// `true` if the policy performs fault-driven preemptive migration.
-    fn migrates_on_overload(&self) -> bool {
-        self.kind().migrates_on_overload()
-    }
-
-    /// `true` if the policy runs the adaptive virtual-reconfiguration
-    /// routine on blocking.
-    fn reconfigures(&self) -> bool {
-        self.kind().reconfigures()
-    }
-
-    /// `true` if the policy suspends the most memory-intensive job on
-    /// blocking (the §1 strawman).
-    fn suspends_on_blocking(&self) -> bool {
-        self.kind().suspends_on_blocking()
-    }
-
-    /// `true` if commit-aware placement applies to this policy (the
-    /// load-index family; random/CPU-only baselines ignore it).
-    fn commit_aware_placement(&self) -> bool {
-        matches!(
-            self.kind(),
-            PolicyKind::GLoadSharing
-                | PolicyKind::VReconfiguration
-                | PolicyKind::SuspendLargest
-                | PolicyKind::Malleable
-                | PolicyKind::Fractional
-        )
-    }
-
-    /// The admission slot cap for a workstation with `hardware_slots`
-    /// job slots. The default is whole-slot reservation; the fractional
-    /// family oversubscribes.
-    fn slot_cap(&self, hardware_slots: u32) -> u32 {
-        hardware_slots
-    }
-
-    /// `true` if the policy issues [`ResizeDirective`]s at load-exchange
-    /// ticks (the malleable family).
-    fn resizes(&self) -> bool {
-        false
-    }
-
-    /// At most one width change for `node` at a load-exchange tick.
-    /// `pressure` is `true` when the cluster pending queue is non-empty —
-    /// a flag both the engine and the oracle can recompute exactly.
-    fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
-        let _ = (node, pressure);
-        None
-    }
-}
-
-/// The seven pre-plugin policies: placement and capabilities delegate to
-/// [`PolicyKind`], which is what makes registry-built reports
-/// byte-identical to the historical enum dispatch.
-#[derive(Debug, Clone, Copy)]
-struct ClassicPolicy(PolicyKind);
-
-impl Policy for ClassicPolicy {
-    fn kind(&self) -> PolicyKind {
-        self.0
-    }
-
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement {
-        self.0.place(job, home, index, rng)
-    }
-}
-
-/// Tunables of the malleable family, parsed from its [`ParamBag`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MalleableParams {
-    /// Maximum width change per job per load-exchange tick (default 1).
-    pub max_step: u32,
-}
-
-impl MalleableParams {
-    /// Parameter keys the malleable family accepts.
-    pub const KNOWN_KEYS: &'static [&'static str] = &["max_step"];
-
-    /// Parses and validates the malleable parameters.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys, unparsable values, and `max_step = 0`.
-    pub fn from_bag(bag: &ParamBag) -> Result<Self, String> {
-        bag.reject_unknown(Self::KNOWN_KEYS)?;
-        let max_step = bag.get::<u32>("max_step")?.unwrap_or(1);
-        if max_step == 0 {
-            return Err("max_step must be at least 1".into());
-        }
-        Ok(MalleableParams { max_step })
-    }
-}
-
-/// The malleable scheduling family: G-Loadsharing placement plus width
-/// resize directives.
-#[derive(Debug, Clone, Copy)]
-struct MalleablePolicy {
-    params: MalleableParams,
-}
-
-impl MalleablePolicy {
-    /// The widest resizable job on `node` that can shrink (width above
-    /// its declared minimum); ties broken toward the smallest id.
-    fn shrink_candidate<'a>(&self, node: &'a Workstation) -> Option<&'a RunningJob> {
-        node.jobs()
-            .iter()
-            .filter(|j| j.spec.malleable.is_some_and(|m| j.width > m.min_width))
-            .max_by_key(|j| (j.width, std::cmp::Reverse(j.spec.id)))
-    }
-
-    /// The narrowest resizable job on `node` that can grow (width below
-    /// its declared maximum); ties broken toward the smallest id.
-    fn grow_candidate<'a>(&self, node: &'a Workstation) -> Option<&'a RunningJob> {
-        node.jobs()
-            .iter()
-            .filter(|j| j.spec.malleable.is_some_and(|m| j.width < m.max_width))
-            .min_by_key(|j| (j.width, j.spec.id))
-    }
-}
-
-impl Policy for MalleablePolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Malleable
-    }
-
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement {
-        PolicyKind::Malleable.place(job, home, index, rng)
-    }
-
-    fn resizes(&self) -> bool {
-        true
-    }
-
-    fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
-        if !node.is_up() || node.is_reserved() {
-            return None;
-        }
-        let free = node.slot_cap().saturating_sub(node.used_slots());
-        if pressure && free == 0 {
-            // Queue pressure and no free slot: narrow the widest
-            // malleable job so a pending admission can land here.
-            let job = self.shrink_candidate(node)?;
-            let min = job.spec.malleable.map_or(1, |m| m.min_width);
-            let to = job.width.saturating_sub(self.params.max_step).max(min);
-            return Some(ResizeDirective::Shrink {
-                job: job.spec.id,
-                to,
-            });
-        }
-        if !pressure && free > 0 {
-            // Idle capacity and an empty queue: widen the narrowest
-            // malleable job into the spare slots.
-            let job = self.grow_candidate(node)?;
-            let max = job.spec.malleable.map_or(job.width, |m| m.max_width);
-            let to = (job.width + self.params.max_step.min(free)).min(max);
-            return Some(ResizeDirective::Grow {
-                job: job.spec.id,
-                to,
-            });
-        }
-        None
-    }
-}
-
-/// Tunables of the fractional family, parsed from its [`ParamBag`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FractionalParams {
-    /// Slot oversubscription factor: the admission cap is
-    /// `floor(slots × oversub)` (default 2.0, must be ≥ 1).
-    pub oversub: f64,
-}
-
-impl FractionalParams {
-    /// Parameter keys the fractional family accepts.
-    pub const KNOWN_KEYS: &'static [&'static str] = &["oversub"];
-
-    /// Parses and validates the fractional parameters.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys, unparsable values, and `oversub < 1`.
-    pub fn from_bag(bag: &ParamBag) -> Result<Self, String> {
-        bag.reject_unknown(Self::KNOWN_KEYS)?;
-        let oversub = bag.get::<f64>("oversub")?.unwrap_or(2.0);
-        if !oversub.is_finite() || oversub < 1.0 {
-            return Err(format!("oversub must be a finite value >= 1, got {oversub}"));
-        }
-        Ok(FractionalParams { oversub })
-    }
-
-    /// The admission cap for a workstation with `hardware_slots` slots.
-    pub fn slot_cap(&self, hardware_slots: u32) -> u32 {
-        ((hardware_slots as f64 * self.oversub).floor() as u32).max(hardware_slots)
-    }
-}
-
-/// The fractional resource scheduling family: G-Loadsharing placement
-/// over an oversubscribed slot cap.
-#[derive(Debug, Clone, Copy)]
-struct FractionalPolicy {
-    params: FractionalParams,
-}
-
-impl Policy for FractionalPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Fractional
-    }
-
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement {
-        PolicyKind::Fractional.place(job, home, index, rng)
-    }
-
-    fn slot_cap(&self, hardware_slots: u32) -> u32 {
-        self.params.slot_cap(hardware_slots)
-    }
-}
-
-/// One registry entry: the stable name, the family it builds, the
-/// parameter keys it accepts, and the builder.
+/// One registry row: a family's name in every spelling, the parameter
+/// keys it accepts, and its builder.
 pub struct PolicyEntry {
-    /// The stable registry name (kebab-case; the `--policy` key).
-    pub name: &'static str,
-    /// The policy family the entry builds.
+    /// The policy family the row builds.
     pub kind: PolicyKind,
+    /// The stable registry name (kebab-case, e.g. `g-loadsharing`).
+    pub name: &'static str,
+    /// The short token (`gls`, `vrecon`, …) written into encoded reports.
+    pub token: &'static str,
+    /// The display name (`G-Loadsharing`, …) of tables, labels and specs.
+    pub display: &'static str,
     /// Parameter keys the builder accepts (empty = takes no parameters).
     pub known_keys: &'static [&'static str],
     build: fn(&ParamBag) -> Result<Box<dyn Policy>, String>,
 }
 
-/// The policy registry: every [`PolicyKind`] as an addressable entry.
-/// Order matches [`PolicyKind::ALL`]. Classic builders are capture-free
-/// closures (coerced to `fn` pointers) that reject any parameter.
-pub fn registry() -> [PolicyEntry; 9] {
-    [
-        PolicyEntry {
-            name: "no-loadsharing",
-            kind: PolicyKind::NoLoadSharing,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::NoLoadSharing)))
-            },
+/// Every family, in [`PolicyKind::ALL`] order.
+static REGISTRY: [PolicyEntry; 9] = [
+    PolicyEntry {
+        kind: PolicyKind::NoLoadSharing,
+        name: "no-loadsharing",
+        token: "none",
+        display: "No-Loadsharing",
+        known_keys: &[],
+        build: |_| Ok(Box::new(NoLoadSharing)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::Random,
+        name: "random",
+        token: "random",
+        display: "Random",
+        known_keys: &[],
+        build: |_| Ok(Box::new(Random)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::CpuOnly,
+        name: "cpu-only",
+        token: "cpu",
+        display: "CPU-Only",
+        known_keys: &[],
+        build: |_| Ok(Box::new(CpuOnly)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::WeightedCpuMem,
+        name: "weighted-cpu-mem",
+        token: "weighted",
+        display: "Weighted-CPU-Mem",
+        known_keys: &[],
+        build: |_| Ok(Box::new(WeightedCpuMem)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::GLoadSharing,
+        name: "g-loadsharing",
+        token: "gls",
+        display: "G-Loadsharing",
+        known_keys: &[],
+        build: |_| Ok(Box::new(GLoadSharing)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::SuspendLargest,
+        name: "suspend-largest",
+        token: "suspend",
+        display: "Suspend-Largest",
+        known_keys: &[],
+        build: |_| Ok(Box::new(SuspendLargest)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::VReconfiguration,
+        name: "v-reconfiguration",
+        token: "vrecon",
+        display: "V-Reconfiguration",
+        known_keys: &[],
+        build: |_| Ok(Box::new(VReconfiguration)),
+    },
+    PolicyEntry {
+        kind: PolicyKind::Malleable,
+        name: "malleable",
+        token: "malleable",
+        display: "Malleable",
+        known_keys: MalleableParams::KNOWN_KEYS,
+        build: |bag| {
+            Ok(Box::new(Malleable {
+                params: MalleableParams::from_bag(bag)?,
+            }))
         },
-        PolicyEntry {
-            name: "random",
-            kind: PolicyKind::Random,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::Random)))
-            },
+    },
+    PolicyEntry {
+        kind: PolicyKind::Fractional,
+        name: "fractional",
+        token: "fractional",
+        display: "Fractional",
+        known_keys: FractionalParams::KNOWN_KEYS,
+        build: |bag| {
+            Ok(Box::new(Fractional {
+                params: FractionalParams::from_bag(bag)?,
+            }))
         },
-        PolicyEntry {
-            name: "cpu-only",
-            kind: PolicyKind::CpuOnly,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::CpuOnly)))
-            },
-        },
-        PolicyEntry {
-            name: "weighted-cpu-mem",
-            kind: PolicyKind::WeightedCpuMem,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::WeightedCpuMem)))
-            },
-        },
-        PolicyEntry {
-            name: "g-loadsharing",
-            kind: PolicyKind::GLoadSharing,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::GLoadSharing)))
-            },
-        },
-        PolicyEntry {
-            name: "suspend-largest",
-            kind: PolicyKind::SuspendLargest,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::SuspendLargest)))
-            },
-        },
-        PolicyEntry {
-            name: "v-reconfiguration",
-            kind: PolicyKind::VReconfiguration,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::VReconfiguration)))
-            },
-        },
-        PolicyEntry {
-            name: "malleable",
-            kind: PolicyKind::Malleable,
-            known_keys: MalleableParams::KNOWN_KEYS,
-            build: |bag| {
-                Ok(Box::new(MalleablePolicy {
-                    params: MalleableParams::from_bag(bag)?,
-                }))
-            },
-        },
-        PolicyEntry {
-            name: "fractional",
-            kind: PolicyKind::Fractional,
-            known_keys: FractionalParams::KNOWN_KEYS,
-            build: |bag| {
-                Ok(Box::new(FractionalPolicy {
-                    params: FractionalParams::from_bag(bag)?,
-                }))
-            },
-        },
-    ]
+    },
+];
+
+/// The policy registry: one row per [`PolicyKind`], in
+/// [`PolicyKind::ALL`] order (the fuzzer draws rows by index).
+pub fn registry() -> &'static [PolicyEntry; 9] {
+    &REGISTRY
 }
 
-/// The stable registry name of `kind`.
-pub fn policy_name(kind: PolicyKind) -> &'static str {
-    match kind {
-        PolicyKind::NoLoadSharing => "no-loadsharing",
-        PolicyKind::Random => "random",
-        PolicyKind::CpuOnly => "cpu-only",
-        PolicyKind::WeightedCpuMem => "weighted-cpu-mem",
-        PolicyKind::GLoadSharing => "g-loadsharing",
-        PolicyKind::SuspendLargest => "suspend-largest",
-        PolicyKind::VReconfiguration => "v-reconfiguration",
-        PolicyKind::Malleable => "malleable",
-        PolicyKind::Fractional => "fractional",
-    }
+/// The registry row of `kind`.
+pub fn entry(kind: PolicyKind) -> &'static PolicyEntry {
+    REGISTRY
+        .iter()
+        .find(|e| e.kind == kind)
+        // vr-lint::allow(panic-in-lib, reason = "REGISTRY has one row per PolicyKind variant by construction, pinned by the registry_covers_every_kind test")
+        .expect("every PolicyKind has a registry row")
+}
+
+/// Resolves any spelling of a family — registry name, short token, or
+/// display name — to its [`PolicyKind`].
+pub fn kind_of(name: &str) -> Option<PolicyKind> {
+    REGISTRY
+        .iter()
+        .find(|e| [e.name, e.token, e.display].contains(&name))
+        .map(|e| e.kind)
 }
 
 /// Builds the plugin for `kind` with `params`.
 ///
 /// # Errors
 ///
-/// Returns the builder's description of a bad parameter bag.
+/// Names the policy and the first unknown key, unparsable value, or
+/// out-of-range value in `params`.
 pub fn build_policy(kind: PolicyKind, params: &ParamBag) -> Result<Box<dyn Policy>, String> {
-    let entries = registry();
-    let entry = entries
-        .iter()
-        .find(|e| e.kind == kind)
-        // vr-lint::allow(panic-in-lib, reason = "registry() enumerates every PolicyKind variant by construction, pinned by the registry_covers_every_kind test")
-        .expect("every PolicyKind has a registry entry");
-    (entry.build)(params)
-        .map_err(|e| format!("policy `{}`: {e}", entry.name))
-}
-
-/// Builds a policy by registry name with `params`.
-///
-/// # Errors
-///
-/// Returns an error for an unknown name or a bad parameter bag.
-pub fn build_named(name: &str, params: &ParamBag) -> Result<Box<dyn Policy>, String> {
-    let entries = registry();
-    match entries.iter().find(|e| e.name == name) {
-        Some(entry) => (entry.build)(params).map_err(|e| format!("policy `{name}`: {e}")),
-        None => Err(format!(
-            "unknown policy `{name}` (known: {})",
-            entries
-                .iter()
-                .map(|e| e.name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )),
-    }
-}
-
-/// Looks up the [`PolicyKind`] a registry name builds.
-pub fn kind_of(name: &str) -> Option<PolicyKind> {
-    registry().iter().find(|e| e.name == name).map(|e| e.kind)
+    let row = entry(kind);
+    params
+        .reject_unknown(row.known_keys)
+        .and_then(|()| (row.build)(params))
+        .map_err(|e| format!("policy `{}`: {e}", row.name))
 }
 
 #[cfg(test)]
@@ -605,17 +285,13 @@ mod tests {
 
     #[test]
     fn registry_covers_every_kind() {
-        let entries = registry();
-        assert_eq!(entries.len(), PolicyKind::ALL.len());
-        for kind in PolicyKind::ALL {
-            let entry = entries.iter().find(|e| e.kind == kind).unwrap();
-            assert_eq!(kind_of(entry.name), Some(kind));
-            assert_eq!(policy_name(kind), entry.name);
-            let built = build_policy(kind, &ParamBag::new()).unwrap();
-            assert_eq!(built.kind(), kind);
-            let named = build_named(entry.name, &ParamBag::new()).unwrap();
-            assert_eq!(named.kind(), kind);
+        // Every spelling resolving to its row is checked, with the CLI, the
+        // report and the spec wire format, by the CLI's table test.
+        for (row, kind) in registry().iter().zip(PolicyKind::ALL) {
+            assert_eq!(row.kind, kind, "rows follow PolicyKind::ALL order");
+            assert!(build_policy(kind, &ParamBag::new()).is_ok());
         }
+        assert_eq!(kind_of("magic"), None);
     }
 
     #[test]
@@ -667,11 +343,7 @@ mod tests {
             &ParamBag::new().with("oversub", "NaN")
         )
         .is_err());
-        assert!(build_policy(
-            PolicyKind::Malleable,
-            &ParamBag::new().with("max_step", 0)
-        )
-        .is_err());
+        assert!(build_policy(PolicyKind::Malleable, &ParamBag::new().with("max_step", 0)).is_err());
         assert!(build_policy(
             PolicyKind::Malleable,
             &ParamBag::new().with("max_step", "many")
@@ -680,31 +352,18 @@ mod tests {
     }
 
     #[test]
-    fn fractional_slot_cap_oversubscribes() {
-        let unit = FractionalParams { oversub: 1.0 };
-        assert_eq!(unit.slot_cap(4), 4);
-        let double = FractionalParams { oversub: 2.0 };
-        assert_eq!(double.slot_cap(4), 8);
-        let frac = FractionalParams { oversub: 1.5 };
-        assert_eq!(frac.slot_cap(4), 6);
-        // floor() never goes below the hardware slots.
-        assert_eq!(frac.slot_cap(1), 1);
-    }
-
-    #[test]
-    fn classic_capabilities_match_the_enum() {
+    fn built_capabilities_follow_the_family() {
+        let built = |kind| build_policy(kind, &ParamBag::new()).unwrap();
+        assert!(built(PolicyKind::VReconfiguration).reconfigures());
+        assert!(built(PolicyKind::SuspendLargest).suspends_on_blocking());
+        assert!(built(PolicyKind::Malleable).resizes());
+        assert!(built(PolicyKind::Malleable).migrates_on_overload());
+        assert!(built(PolicyKind::Fractional).commit_aware_placement());
+        assert_eq!(built(PolicyKind::Fractional).slot_cap(4), 8);
+        assert!(!built(PolicyKind::NoLoadSharing).migrates_on_overload());
         for kind in PolicyKind::ALL {
-            let built = build_policy(kind, &ParamBag::new()).unwrap();
-            assert_eq!(built.migrates_on_overload(), kind.migrates_on_overload());
-            assert_eq!(built.reconfigures(), kind.reconfigures());
-            assert_eq!(built.suspends_on_blocking(), kind.suspends_on_blocking());
+            let p = built(kind);
+            assert!(!(p.reconfigures() && p.suspends_on_blocking()), "{kind}");
         }
-    }
-
-    #[test]
-    fn unknown_name_lists_the_registry() {
-        let err = build_named("magic", &ParamBag::new()).unwrap_err();
-        assert!(err.contains("unknown policy `magic`"), "{err}");
-        assert!(err.contains("v-reconfiguration"), "{err}");
     }
 }

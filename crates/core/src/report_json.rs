@@ -33,7 +33,7 @@ use vr_simcore::time::{SimSpan, SimTime};
 use vr_simcore::TimeSeries;
 
 use crate::events::{EventLog, SchedulerEventKind};
-use crate::policy::PolicyKind;
+use crate::plugin::{entry, kind_of};
 use crate::report::{RunReport, SchedulerCounters};
 use crate::reservation::ReservationStats;
 
@@ -68,7 +68,7 @@ fn report_to_json(r: &RunReport) -> Json {
     Json::obj([
         ("schema", Json::U64(SCHEMA_VERSION)),
         ("trace_name", Json::str(&r.trace_name)),
-        ("policy", Json::str(policy_token(r.policy))),
+        ("policy", Json::str(entry(r.policy).token)),
         ("seed", Json::U64(r.seed)),
         ("jobs", Json::Arr(r.jobs.iter().map(job_to_json).collect())),
         ("summary", summary_to_json(&r.summary)),
@@ -100,7 +100,10 @@ fn report_from_json(doc: &Json) -> Result<RunReport, String> {
     }
     Ok(RunReport {
         trace_name: str_field(doc, "trace_name")?.to_owned(),
-        policy: policy_from_token(str_field(doc, "policy")?)?,
+        policy: {
+            let token = str_field(doc, "policy")?;
+            kind_of(token).ok_or_else(|| format!("unknown policy token {token:?}"))?
+        },
         seed: u64_field(doc, "seed")?,
         jobs: arr_field(doc, "jobs")?
             .iter()
@@ -177,36 +180,6 @@ fn span_field(doc: &Json, key: &str) -> Result<SimSpan, String> {
 }
 
 // ---- enums ---------------------------------------------------------------
-
-/// Stable token for a policy (matches the CLI's `--policy` names).
-fn policy_token(policy: PolicyKind) -> &'static str {
-    match policy {
-        PolicyKind::NoLoadSharing => "none",
-        PolicyKind::Random => "random",
-        PolicyKind::CpuOnly => "cpu",
-        PolicyKind::GLoadSharing => "gls",
-        PolicyKind::VReconfiguration => "vrecon",
-        PolicyKind::WeightedCpuMem => "weighted",
-        PolicyKind::SuspendLargest => "suspend",
-        PolicyKind::Malleable => "malleable",
-        PolicyKind::Fractional => "fractional",
-    }
-}
-
-fn policy_from_token(token: &str) -> Result<PolicyKind, String> {
-    Ok(match token {
-        "none" => PolicyKind::NoLoadSharing,
-        "random" => PolicyKind::Random,
-        "cpu" => PolicyKind::CpuOnly,
-        "gls" => PolicyKind::GLoadSharing,
-        "vrecon" => PolicyKind::VReconfiguration,
-        "weighted" => PolicyKind::WeightedCpuMem,
-        "suspend" => PolicyKind::SuspendLargest,
-        "malleable" => PolicyKind::Malleable,
-        "fractional" => PolicyKind::Fractional,
-        other => return Err(format!("unknown policy token {other:?}")),
-    })
-}
 
 fn class_token(class: JobClass) -> &'static str {
     match class {
@@ -393,8 +366,12 @@ fn spec_from_json(doc: &Json) -> Result<JobSpec, String> {
                 let [min, max] = pair else {
                     return Err("malleable is not a pair".to_owned());
                 };
-                let min = min.as_u64().ok_or("malleable min width is not an integer")?;
-                let max = max.as_u64().ok_or("malleable max width is not an integer")?;
+                let min = min
+                    .as_u64()
+                    .ok_or("malleable min width is not an integer")?;
+                let max = max
+                    .as_u64()
+                    .ok_or("malleable max width is not an integer")?;
                 let spec = MalleableSpec {
                     min_width: u32::try_from(min).map_err(|_| "malleable min exceeds u32")?,
                     max_width: u32::try_from(max).map_err(|_| "malleable max exceeds u32")?,
@@ -722,6 +699,7 @@ fn events_from_json(doc: &Json) -> Result<EventLog, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyKind;
     use vr_cluster::job::MemPhase;
 
     fn sample_report() -> RunReport {

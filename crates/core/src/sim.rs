@@ -56,12 +56,12 @@ use vr_simcore::time::{SimSpan, SimTime};
 use vr_trace::{TraceData, TraceRecord, TraceSource, Tracer};
 use vr_workload::trace::Trace;
 
-use crate::config::{DetectorMode, LoadInfoMode, PlacementMode, ReservingEnd, SimConfig};
+use crate::config::{LoadInfoMode, PlacementMode, ReservingEnd, SimConfig};
 use crate::events::{EventLog, SchedulerEventKind};
-use crate::plugin::{build_policy, Policy, ResizeDirective};
-use crate::policy::Placement;
+use crate::plugin::build_policy;
 #[cfg(test)]
 use crate::policy::PolicyKind;
+use crate::policy::{Placement, Policy, ResizeDirective};
 use crate::report::{RunReport, SchedulerCounters};
 use crate::reservation::{ReservationManager, ReservationPhase};
 
@@ -747,7 +747,8 @@ impl ClusterWorld {
     /// Only the GLS-family policies have memory-aware placement to adjust;
     /// the rest fall through to the policy unchanged.
     fn place_decision(&mut self, job: &RunningJob, home: NodeId) -> Placement {
-        if self.config.placement == PlacementMode::CommitAware && self.plugin.commit_aware_placement()
+        if self.config.placement == PlacementMode::CommitAware
+            && self.plugin.commit_aware_placement()
         {
             let demand = job.current_working_set();
             if self.index.get(home).is_some_and(|load| {
@@ -890,17 +891,6 @@ impl ClusterWorld {
         }
     }
 
-    /// One node's memory occupancy as seen by the overload/blocking
-    /// detector: the incremental cache or the full rescan, per the
-    /// configured [`DetectorMode`]. The two are always equal (asserted in
-    /// debug builds, pinned by differential tests).
-    fn detector_usage(&self, i: usize) -> vr_cluster::memory::MemoryUsage {
-        match self.config.detector {
-            DetectorMode::Rescan => self.nodes[i].memory_usage_rescan(),
-            DetectorMode::Incremental => self.nodes[i].memory_usage(),
-        }
-    }
-
     /// The overload scan of the exchange tick: fault-driven migrations and
     /// blocking detection (§2.1).
     ///
@@ -932,7 +922,7 @@ impl ClusterWorld {
             if self.nodes[i].is_reserved() || !self.nodes[i].is_up() {
                 continue;
             }
-            let usage = self.detector_usage(i);
+            let usage = self.nodes[i].memory_usage();
             if usage.overflow() > self.config.overload_bytes(usage.user) {
                 visit.push(i);
             }
@@ -954,7 +944,7 @@ impl ClusterWorld {
                 self.set_blocked(i, false);
                 continue;
             }
-            let usage = self.detector_usage(i);
+            let usage = self.nodes[i].memory_usage();
             let threshold = self.config.overload_bytes(usage.user);
             if usage.overflow() <= threshold {
                 self.set_blocked(i, false);
@@ -1281,7 +1271,7 @@ impl ClusterWorld {
             if node.is_reserved() || !node.is_up() {
                 continue;
             }
-            let usage = self.detector_usage(i);
+            let usage = node.memory_usage();
             let threshold = self.config.overload_bytes(usage.user);
             if usage.overflow() <= threshold {
                 continue;

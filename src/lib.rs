@@ -51,7 +51,7 @@ pub mod prelude {
     pub use vr_workload::synth;
     pub use vr_workload::trace::{app_trace, spec_trace, Trace, TraceLevel};
     pub use vrecon::{
-        compare_reports, DetectorMode, PolicyKind, ReportDiff, ReservationOptions, ReservingEnd,
-        RunReport, SchedulerEventKind, SimConfig, Simulation,
+        compare_reports, PolicyKind, ReportDiff, ReservationOptions, ReservingEnd, RunReport,
+        SchedulerEventKind, SimConfig, Simulation,
     };
 }
