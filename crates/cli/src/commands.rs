@@ -8,7 +8,7 @@ use vr_check::fuzz::generate;
 use vr_check::{run_fuzz, CheckScenario, FuzzOptions, OracleSkew};
 use vr_cluster::params::ClusterParams;
 use vr_faults::FaultPlan;
-use vr_lint::{analyze_workspace, find_workspace_root, lint_workspace};
+use vr_lint::{analyze_workspace, workspace_root, Format};
 use vr_metrics::comparison::MetricComparison;
 use vr_metrics::table::{fmt_f, TextTable};
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
@@ -45,7 +45,6 @@ USAGE:
   vrecon trace   <spec|app> [--level <1..5>] [--policy <POLICY>] [--seed N]
                  [--trace-seed N] [--nodes N] [--max-sim-time SECS]
                  [--format chrome|jsonl] [--out FILE] [--profile-out FILE]
-  vrecon lint    [--root DIR] [--format text|json]
   vrecon analyze [--root DIR] [--format text|json|sarif] [--sarif-out FILE]
   vrecon fuzz    [--iters N] [--seed N] [--jobs N] [--failures-dir DIR]
                  [--broken-oracle]
@@ -95,15 +94,15 @@ A run that stops at the `--max-sim-time` horizon with events still queued
 is flagged with a loud `WARNING:` — its measurements are truncated, not
 converged.
 
-`lint` runs the vr-lint determinism & panic-safety analyzer over the
-workspace (the root is found by walking up from the current directory, or
-taken from `--root`) and fails when any diagnostic fires.
-
-`analyze` runs the vr-analyze semantic pass — cross-crate taint tracking
-for the wall-clock/RNG determinism boundaries plus lock-order, blocking
-and Condvar discipline over the pool/serve layer. Same root discovery and
-failure rule as `lint`; `--format sarif` (or `--sarif-out FILE` next to
-another format) emits SARIF 2.1.0 for code-scanning UIs.
+`analyze` runs the workspace's static analyzer (the root is found by
+walking up from the current directory, or taken from `--root`) and fails
+when any diagnostic fires: token rules for the determinism and
+panic-safety contract (hash collections, wall-clock and environment
+reads, panics in library code, float equality, narrowing casts, `unsafe`),
+cross-crate taint tracking for the wall-clock/RNG determinism boundaries,
+and lock-order, blocking and Condvar discipline over the pool/serve
+layer. `--format sarif` (or `--sarif-out FILE` next to another format)
+emits SARIF 2.1.0 for code-scanning UIs.
 
 `fuzz` generates `--iters` seeded random scenarios and runs each through
 the engine, a naive reference oracle, and the invariant auditor. Any
@@ -920,65 +919,20 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `vrecon lint`: run the static analyzer over the workspace.
+/// `vrecon analyze`: run the static analyzer over the workspace.
 ///
-/// Succeeds (with a summary line) only when no diagnostic fires; any
-/// finding renders rustc-style and fails the command.
-pub fn lint(args: &Args) -> Result<String, ArgError> {
-    let root = match args.opt("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| ArgError(format!("cannot read current directory: {e}")))?;
-            find_workspace_root(&cwd).ok_or_else(|| {
-                ArgError("no [workspace] Cargo.toml above the current directory; use --root".into())
-            })?
-        }
-    };
-    let report = lint_workspace(&root).map_err(ArgError)?;
-    let rendered = match args.opt_or("format", "text") {
-        "json" => report.render_json(),
-        "text" => report.render_text(),
-        other => return Err(ArgError(format!("--format must be text|json, got {other}"))),
-    };
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(ArgError(rendered))
-    }
-}
-
-/// `vrecon analyze`: run the cross-crate semantic analyzer (taint +
-/// concurrency rules) over the workspace.
-///
-/// Mirrors [`lint`]: succeeds only when no diagnostic fires. `--sarif-out`
-/// writes a SARIF report alongside whatever `--format` prints.
+/// Succeeds (with the rendered report) only when no diagnostic fires;
+/// any finding fails the command. `--sarif-out` writes a SARIF report
+/// alongside whatever `--format` prints.
 pub fn analyze(args: &Args) -> Result<String, ArgError> {
-    let root = match args.opt("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| ArgError(format!("cannot read current directory: {e}")))?;
-            find_workspace_root(&cwd).ok_or_else(|| {
-                ArgError("no [workspace] Cargo.toml above the current directory; use --root".into())
-            })?
-        }
-    };
+    let format = Format::parse(args.opt_or("format", "text")).map_err(ArgError)?;
+    let root = workspace_root(args.opt("root")).map_err(ArgError)?;
     let report = analyze_workspace(&root).map_err(ArgError)?;
     if let Some(path) = args.opt("sarif-out") {
         std::fs::write(path, report.render_sarif())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
     }
-    let rendered = match args.opt_or("format", "text") {
-        "json" => report.render_json(),
-        "sarif" => report.render_sarif(),
-        "text" => report.render_text(),
-        other => {
-            return Err(ArgError(format!(
-                "--format must be text|json|sarif, got {other}"
-            )))
-        }
-    };
+    let rendered = report.render(format);
     if report.is_clean() {
         Ok(rendered)
     } else {
@@ -1215,7 +1169,6 @@ pub fn dispatch(subcommand: &str, args: &Args) -> Result<String, ArgError> {
         "compare" => compare(args),
         "sweep" => sweep(args),
         "trace" => trace(args),
-        "lint" => lint(args),
         "analyze" => analyze(args),
         "fuzz" => fuzz(args),
         "serve" => serve(args),
@@ -1347,21 +1300,27 @@ mod tests {
     }
 
     #[test]
-    fn lint_subcommand_reports_clean_workspace() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let out = dispatch("lint", &args(&["--root", root])).unwrap();
-        assert!(out.contains("0 diagnostic(s)"), "unexpected output: {out}");
-        assert!(dispatch("lint", &args(&["--root", root, "--format", "yaml"])).is_err());
-    }
-
-    #[test]
-    fn analyze_subcommand_reports_clean_workspace() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let out = dispatch("analyze", &args(&["--root", root])).unwrap();
-        assert!(out.contains("0 diagnostic(s)"), "unexpected output: {out}");
-        let sarif = dispatch("analyze", &args(&["--root", root, "--format", "sarif"])).unwrap();
+    fn analyze_subcommand_renders_and_fails_on_findings() {
+        let root = std::env::temp_dir().join(format!("vrecon-analyze-{}", std::process::id()));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(src.join("lib.rs"), "pub fn fine() -> u64 { 7 }\n").unwrap();
+        let dir = root.to_str().unwrap();
+        let out = dispatch("analyze", &args(&["--root", dir])).unwrap();
+        assert!(out.ends_with("0 diagnostic(s)"), "unexpected output: {out}");
+        let sarif = dispatch("analyze", &args(&["--root", dir, "--format", "sarif"])).unwrap();
         assert!(sarif.contains("\"2.1.0\""), "unexpected output: {sarif}");
-        assert!(dispatch("analyze", &args(&["--root", root, "--format", "yaml"])).is_err());
+        assert!(dispatch("analyze", &args(&["--root", dir, "--format", "yaml"])).is_err());
+        std::fs::write(
+            src.join("lib.rs"),
+            "pub fn bad(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .unwrap();
+        let err = dispatch("analyze", &args(&["--root", dir])).unwrap_err();
+        assert!(err.0.contains("error[panic-in-lib]"), "{}", err.0);
+        assert!(dispatch("lint", &args(&["--root", dir])).is_err());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! `vr-analyze` — cross-crate semantic analysis on top of the lexer.
+//! The analyzer: one pass over the workspace that lexes each file once
+//! and runs every rule in [`RULES`] on it.
 //!
-//! Where `vr-lint` judges one token at a time, the rules here need three
-//! things the token rules structurally cannot express: *which function*
-//! a token lives in ([`crate::syntax`]), *who calls whom* across the
-//! workspace ([`crate::callgraph`]), and *which locks are held* at a
-//! given point (the guard-liveness model in this module). On that base
-//! run two rule families:
+//! The **token stage** runs the per-file token rules from
+//! [`crate::rules`], each gated by its crate/path scope and the file's
+//! role. The **semantic stage** needs three things a token scan cannot
+//! express: *which function* a token lives in ([`crate::syntax`]), *who
+//! calls whom* across the workspace ([`crate::callgraph`]), and *which
+//! locks are held* at a given point (the guard-liveness model in this
+//! module). On that base run two rule families:
 //!
 //! **Taint / reachability** — `wall-clock-taint` (functions transitively
 //! reaching `Instant::now`/`SystemTime::now` outside the declared
@@ -21,87 +23,45 @@
 //! `naked-notify` (Condvar notified without the paired mutex ever
 //! held), and `guard-across-callback` (guards held across user hooks).
 //!
-//! Suppression mirrors `vr-lint`: `// vr-analyze::allow(rule, reason =
-//! "...")` is line-local with a mandatory reason, plus three *scoped*
-//! directives that feed the rules themselves —
-//! `boundary(wall-clock, reason = "...")` marks a file as the clock
-//! injection seam, `rng-authority(reason = "...")` marks a file as
-//! allowed to mint RNG streams, and `blocking(reason = "...")` declares
-//! the function directly below it blocking (for loops that block without
-//! a recognizable token, e.g. iterating a channel Receiver). Unused
-//! directives are reported (`stale-allow` / `stale-directive`), so the
-//! suppression set can never rot silently.
+//! Findings of both stages go through one suppression pass. Directives
+//! are `//` comments starting with `vr-analyze::` or `vr-lint::` (the two
+//! markers spell the same grammar): `allow(rule, reason = "...")` is
+//! line-local with a mandatory reason, plus three *scoped* directives
+//! that feed the rules themselves — `boundary(wall-clock, reason =
+//! "...")` marks a file as the clock injection seam, `rng-authority(reason
+//! = "...")` marks a file as allowed to mint RNG streams, and
+//! `blocking(reason = "...")` declares the function directly below it
+//! blocking (for loops that block without a recognizable token, e.g.
+//! iterating a channel Receiver). Unused directives are reported
+//! (`stale-allow` / `stale-directive`), so the suppression set can never
+//! rot silently.
 //!
-//! Everything is approximate by design: calls resolve by name union (no
-//! trait dispatch, no type inference) and macro bodies are opaque. The
-//! limits are documented in `ARCHITECTURE.md`; the rules err toward
-//! silence on patterns the model cannot see and toward noise on the ones
-//! it can, with the reasoned-allow valve for the latter.
+//! Everything semantic is approximate by design: calls resolve by name
+//! union (no trait dispatch, no type inference) and macro bodies are
+//! opaque. The limits are documented in `ARCHITECTURE.md`; the rules err
+//! toward silence on patterns the model cannot see and toward noise on
+//! the ones it can, with the reasoned-allow valve for the latter.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::callgraph::{extract_calls, tainted_from, Call, CallKind, FnIndex, FnInfo};
-use crate::diag::{json_escape, Diagnostic};
+use crate::diag::{AnalysisReport, Diagnostic};
 use crate::lexer::{self, Tok, TokKind};
-use crate::rules::{Role, DETERMINISTIC_CRATES, WALL_CLOCK_ALLOWED};
+use crate::rules::{
+    in_regions, rule_named, test_regions, Check, FileContext, Role, Rule, DETERMINISTIC_CRATES,
+    RULES, WALL_CLOCK_ALLOWED,
+};
 use crate::syntax::parse_fns;
 use crate::{classify, workspace_files};
 
-/// The marker that introduces a directive inside a `//` comment.
-const MARKER: &str = "vr-analyze::";
+/// The markers that introduce a directive inside a `//` comment.
+const MARKERS: &[&str] = &["vr-analyze::", "vr-lint::"];
 
 /// Crates whose lock/blocking behaviour is analysed. Everything else is
 /// still *indexed* (so calls into it classify correctly) but its own
 /// guard usage is out of scope.
 const CONCURRENCY_CRATES: &[&str] = &["runner", "serve"];
-
-/// Every semantic rule, with the one-line summary SARIF and the docs
-/// share. Meta rules (`stale-allow`, `stale-directive`,
-/// `malformed-directive`) are listed too so SARIF consumers can resolve
-/// any `ruleId` the analyzer emits.
-pub const ANALYZE_RULES: &[(&str, &str)] = &[
-    (
-        "blocking-while-locked",
-        "mutex guard held across a blocking operation",
-    ),
-    (
-        "guard-across-callback",
-        "mutex guard held across a user-supplied hook",
-    ),
-    (
-        "lock-cycle",
-        "lock acquisition order admits a deadlock cycle",
-    ),
-    (
-        "naked-notify",
-        "Condvar notified by a thread that never held the paired mutex",
-    ),
-    (
-        "panic-path",
-        "public API reaches a documented panic without a `# Panics` contract",
-    ),
-    (
-        "rng-stream-discipline",
-        "SimRng stream minted outside a declared authority file",
-    ),
-    (
-        "wall-clock-leak",
-        "wall-clock boundary leaks a raw Instant/SystemTime in a public signature",
-    ),
-    (
-        "wall-clock-taint",
-        "function transitively reads the wall clock outside the declared boundary",
-    ),
-    ("stale-allow", "allow directive that suppressed nothing"),
-    ("stale-directive", "scoped directive that affected nothing"),
-    ("malformed-directive", "unparseable vr-analyze directive"),
-];
-
-/// `true` when `name` is a suppressible (non-meta) analyze rule.
-fn is_allow_target(name: &str) -> bool {
-    ANALYZE_RULES.iter().take(8).any(|(rule, _)| *rule == name)
-}
 
 // ---------------------------------------------------------------------------
 // Directives
@@ -121,9 +81,9 @@ enum DirectiveKind {
     Blocking,
 }
 
-/// A parsed `vr-analyze::` directive (possibly malformed).
+/// A parsed directive (possibly malformed).
 #[derive(Debug)]
-struct ADirective {
+struct Directive {
     kind: Option<DirectiveKind>,
     line: u32,
     col: u32,
@@ -132,12 +92,12 @@ struct ADirective {
     used: bool,
 }
 
-/// Parses the text after the `vr-analyze::` marker.
-fn parse_adirective(rest: &str) -> Result<DirectiveKind, String> {
+/// Parses the text after a directive marker.
+fn parse_directive(rest: &str) -> Result<DirectiveKind, String> {
     let rest = rest.trim_start();
     let open = rest
         .find('(')
-        .ok_or_else(|| "expected `name(...)` after `vr-analyze::`".to_owned())?;
+        .ok_or_else(|| "expected `name(...)` after the directive marker".to_owned())?;
     let head = rest[..open].trim();
     let close = rest
         .rfind(')')
@@ -149,8 +109,8 @@ fn parse_adirective(rest: &str) -> Result<DirectiveKind, String> {
                 "expected `allow(rule, reason = \"...\")` — the reason is mandatory".to_owned()
             })?;
             let rule = rule.trim();
-            if !is_allow_target(rule) {
-                return Err(format!("unknown analyze rule `{rule}`"));
+            if !rule_named(rule).is_some_and(|r| !matches!(r.check, Check::Meta)) {
+                return Err(format!("unknown rule `{rule}`"));
             }
             parse_reason(rest)?;
             Ok(DirectiveKind::Allow(rule.to_owned()))
@@ -201,139 +161,31 @@ fn parse_reason(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Extracts this file's directives from its comments.
-fn parse_directives(comments: &[lexer::Comment]) -> Vec<ADirective> {
+/// Extracts this file's directives from its comments. A directive is a
+/// plain `//` comment whose trimmed text *starts with* a marker; doc
+/// comments (`///`, `//!`) lex with a leading `/` or `!` in their text, so
+/// prose that merely mentions the syntax never matches.
+fn parse_directives(comments: &[lexer::Comment]) -> Vec<Directive> {
     let mut out = Vec::new();
     for c in comments {
         let trimmed = c.text.trim_start();
-        if !trimmed.starts_with(MARKER) {
+        let Some(rest) = MARKERS.iter().find_map(|m| trimmed.strip_prefix(m)) else {
             continue;
-        }
-        let mut d = ADirective {
+        };
+        let mut d = Directive {
             kind: None,
             line: c.line,
             col: c.col,
             error: None,
             used: false,
         };
-        match parse_adirective(&trimmed[MARKER.len()..]) {
+        match parse_directive(rest) {
             Ok(kind) => d.kind = Some(kind),
             Err(why) => d.error = Some(why),
         }
         out.push(d);
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------------
-
-/// The aggregated result of an analysis run.
-#[derive(Debug, Default)]
-pub struct AnalysisReport {
-    /// All findings, sorted by position.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Number of `.rs` files analysed.
-    pub files_scanned: usize,
-    /// Number of functions in the cross-crate index.
-    pub fns_indexed: usize,
-    /// Well-formed directives seen (all four kinds).
-    pub allows: usize,
-    /// Of those, how many affected nothing.
-    pub stale_allows: usize,
-}
-
-impl AnalysisReport {
-    /// `true` when nothing fired — the workspace passes.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
-    /// rustc-style one-line-per-finding text, with a trailing summary.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for d in &self.diagnostics {
-            out.push_str(&d.to_string());
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "vr-analyze: {} file(s), {} fn(s) indexed, {} directive(s) ({} stale), {} diagnostic(s)",
-            self.files_scanned,
-            self.fns_indexed,
-            self.allows,
-            self.stale_allows,
-            self.diagnostics.len()
-        ));
-        out
-    }
-
-    /// Machine-readable JSON (stable field and array order).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&d.file),
-                d.line,
-                d.col,
-                json_escape(&d.rule),
-                json_escape(&d.message)
-            ));
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"fns_indexed\": {},\n  \"allows\": {},\n  \"stale_allows\": {}\n}}",
-            self.files_scanned, self.fns_indexed, self.allows, self.stale_allows
-        ));
-        out
-    }
-
-    /// SARIF 2.1.0, the minimal shape code-scanning UIs ingest: one run,
-    /// one driver, one result per diagnostic with a physical location.
-    pub fn render_sarif(&self) -> String {
-        let mut out = String::from(
-            "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-             \"version\": \"2.1.0\",\n  \"runs\": [{\n    \"tool\": {\"driver\": {\n      \
-             \"name\": \"vr-analyze\",\n      \"rules\": [",
-        );
-        for (i, (name, summary)) in ANALYZE_RULES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-                json_escape(name),
-                json_escape(summary)
-            ));
-        }
-        out.push_str("\n      ]\n    }},\n    \"results\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n      {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \
-                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-                 \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
-                json_escape(&d.rule),
-                json_escape(&d.message),
-                json_escape(&d.file),
-                d.line,
-                d.col
-            ));
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }]\n}");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -773,7 +625,9 @@ struct FileData {
     krate: String,
     role: Role,
     tokens: Vec<Tok>,
-    directives: Vec<ADirective>,
+    /// Line ranges of `#[cfg(test)]` items.
+    regions: Vec<(u32, u32)>,
+    directives: Vec<Directive>,
     boundary: bool,
     rng_authority: bool,
 }
@@ -787,15 +641,20 @@ struct Finding {
     message: String,
 }
 
-/// Analyzes a set of `(workspace-relative path, source)` pairs.
+/// Analyzes a set of `(workspace-relative path, source)` pairs. The path
+/// decides the crate and role each rule is scoped by (see [`classify`]).
 pub fn analyze_sources(sources: &[(String, String)]) -> AnalysisReport {
     let mut files: Vec<FileData> = Vec::new();
     let mut fn_infos: Vec<FnInfo> = Vec::new();
     let mut file_of: Vec<usize> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
 
     for (rel, src) in sources {
         let lexed = lexer::lex(src);
         let ctx = classify(rel);
+        let regions = test_regions(&lexed.tokens);
+        let file_idx = files.len();
+        run_token_rules(file_idx, rel, &ctx, &lexed.tokens, &regions, &mut findings);
         let directives = parse_directives(&lexed.comments);
         let boundary = directives
             .iter()
@@ -803,7 +662,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> AnalysisReport {
         let rng_authority = directives
             .iter()
             .any(|d| d.kind == Some(DirectiveKind::RngAuthority));
-        let file_idx = files.len();
         if !matches!(ctx.role, Role::Test | Role::Example) {
             for item in parse_fns(&lexed) {
                 if item.in_test_region || !item.has_body() {
@@ -829,6 +687,7 @@ pub fn analyze_sources(sources: &[(String, String)]) -> AnalysisReport {
             krate: ctx.krate,
             role: ctx.role,
             tokens: lexed.tokens,
+            regions,
             directives,
             boundary,
             rng_authority,
@@ -894,14 +753,49 @@ pub fn analyze_sources(sources: &[(String, String)]) -> AnalysisReport {
         }
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-
     run_wall_clock_rules(&index, &files, &file_of, &conc, &callers_of, &mut findings);
     run_panic_path(&index, &files, &file_of, &static_callers_of, &mut findings);
     run_rng_discipline(&index, &files, &file_of, &mut findings);
     run_concurrency_rules(&index, &files, &file_of, &conc, &mut findings);
 
     assemble_report(files, findings, index.fns.len())
+}
+
+// ---------------------------------------------------------------------------
+// Token rules
+// ---------------------------------------------------------------------------
+
+/// The token stage: every [`Check::Token`] rule in scope for one file.
+fn run_token_rules(
+    file: usize,
+    rel: &str,
+    ctx: &FileContext,
+    tokens: &[Tok],
+    regions: &[(u32, u32)],
+    findings: &mut Vec<Finding>,
+) {
+    for rule in RULES {
+        let Check::Token(t) = &rule.check else {
+            continue;
+        };
+        let exempt = !(t.applies)(&ctx.krate, rel)
+            || (t.skip_test_code && ctx.role == Role::Test)
+            || (t.skip_bin_code && matches!(ctx.role, Role::Bin | Role::Example));
+        if exempt {
+            continue;
+        }
+        (t.run)(tokens, &mut |line, col, message| {
+            if !(t.skip_test_code && in_regions(regions, line)) {
+                findings.push(Finding {
+                    file,
+                    line,
+                    col,
+                    rule: rule.name,
+                    message,
+                });
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -925,8 +819,8 @@ fn run_wall_clock_rules(
     callers_of: &BTreeMap<usize, Vec<usize>>,
     findings: &mut Vec<Finding>,
 ) {
-    // Sources live only in crates where vr-lint already bans raw clock
-    // reads: in `bench`/`cli`/`runner`/`lint`, `Instant::now` is the
+    // Sources live only in crates where the `wall-clock` token rule
+    // already bans raw clock reads: in `bench`/`cli`/`runner`/`lint`, `Instant::now` is the
     // sanctioned way to measure the host, and seeding taint there made
     // every orchestration entry point glow. The taint rule's job is the
     // *unsanctioned* residue — clock reads inside the simulation tier
@@ -1022,8 +916,8 @@ fn run_panic_path(
     findings: &mut Vec<Finding>,
 ) {
     // Sources are *declared* panickers: a panic token in the body AND a
-    // `# Panics` doc section. Undocumented panics are vr-lint's turf
-    // (`panic-in-lib`), and its allow reasons assert unreachability —
+    // `# Panics` doc section. Undocumented panics are the `panic-in-lib`
+    // token rule's turf, and its allow reasons assert unreachability —
     // treating those as sources would re-litigate every settled allow.
     let source_set: BTreeSet<usize> = (0..index.fns.len())
         .filter(|&id| {
@@ -1447,6 +1341,7 @@ fn reaches(succ: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool 
 // Suppression and assembly
 // ---------------------------------------------------------------------------
 
+/// The one suppression and stale pass over both stages' findings.
 fn assemble_report(
     mut files: Vec<FileData>,
     findings: Vec<Finding>,
@@ -1459,9 +1354,19 @@ fn assemble_report(
     };
     for f in findings {
         let file = &mut files[f.file];
+        // An allow covers its own line and the line directly below. One
+        // sitting inside a `#[cfg(test)]` region for a rule that skips
+        // test code is never eligible: the rule is exempt there, so the
+        // directive is dead weight — and without this check one placed on
+        // the region's closing line would silently suppress *live* code on
+        // the next line instead of being reported stale.
+        let rule = rule_named(f.rule);
+        debug_assert!(rule.is_some(), "`{}` is missing from RULES", f.rule);
+        let exempt_in_tests = rule.is_some_and(Rule::skips_test_code);
         let suppressed = file.directives.iter_mut().any(|d| {
             let hit = matches!(&d.kind, Some(DirectiveKind::Allow(rule)) if *rule == f.rule)
-                && (d.line == f.line || d.line + 1 == f.line);
+                && (d.line == f.line || d.line + 1 == f.line)
+                && !(exempt_in_tests && in_regions(&file.regions, d.line));
             if hit {
                 d.used = true;
             }
@@ -1519,6 +1424,18 @@ fn assemble_report(
             }
             report.stale_allows += 1;
             let (rule, message) = match &d.kind {
+                Some(DirectiveKind::Allow(rule))
+                    if rule_named(rule).is_some_and(Rule::skips_test_code)
+                        && in_regions(&file.regions, d.line) =>
+                {
+                    (
+                        "stale-allow",
+                        format!(
+                            "allow({rule}) sits inside `#[cfg(test)]` code where the \
+                             rule is already exempt; remove the directive"
+                        ),
+                    )
+                }
                 Some(DirectiveKind::Allow(rule)) => (
                     "stale-allow",
                     format!("allow({rule}) suppressed nothing; remove the directive"),
@@ -1584,15 +1501,40 @@ mod tests {
 
     #[test]
     fn directive_grammar() {
-        assert!(parse_adirective(r#"allow(lock-cycle, reason = "x")"#).is_ok());
-        assert!(parse_adirective(r#"boundary(wall-clock, reason = "x")"#).is_ok());
-        assert!(parse_adirective(r#"rng-authority(reason = "x")"#).is_ok());
-        assert!(parse_adirective(r#"blocking(reason = "x")"#).is_ok());
-        assert!(parse_adirective(r#"allow(lock-cycle)"#).is_err());
-        assert!(parse_adirective(r#"allow(not-a-rule, reason = "x")"#).is_err());
-        assert!(parse_adirective(r#"boundary(rng, reason = "x")"#).is_err());
-        assert!(parse_adirective(r#"forbid(lock-cycle, reason = "x")"#).is_err());
-        assert!(parse_adirective(r#"allow(stale-allow, reason = "x")"#).is_err());
+        for ok in [
+            r#"allow(lock-cycle, reason = "x")"#,
+            r#"allow( float-eq , reason = "x" )"#,
+            r#"boundary(wall-clock, reason = "x")"#,
+            r#"rng-authority(reason = "x")"#,
+            r#"blocking(reason = "x")"#,
+        ] {
+            assert!(parse_directive(ok).is_ok(), "{ok}");
+        }
+        for bad in [
+            r#"allow(lock-cycle)"#,
+            r#"allow(float-eq, reason = "")"#,
+            r#"allow(float-eq, reason = unquoted)"#,
+            r#"allow(not-a-rule, reason = "x")"#,
+            r#"allow(stale-allow, reason = "x")"#,
+            r#"boundary(rng, reason = "x")"#,
+            r#"forbid(lock-cycle, reason = "x")"#,
+        ] {
+            assert!(parse_directive(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn both_markers_share_one_grammar() {
+        // Either marker can allow a token rule or a semantic rule.
+        let report = analyze(&[(
+            "crates/serve/src/x.rs",
+            "// vr-lint::allow(blocking-while-locked, reason = \"intentional\")\n\
+             pub fn f() { let g = q.lock().unwrap_or_else(e); ch.recv(); }\n\
+             // vr-analyze::allow(env-read, reason = \"startup only\")\n\
+             pub fn g() -> bool { std::env::var(\"X\").is_ok() }\n",
+        )]);
+        assert!(report.is_clean(), "{}", report.render_text());
+        assert_eq!((report.allows, report.stale_allows), (2, 0));
     }
 
     #[test]
@@ -1630,7 +1572,8 @@ mod tests {
             ),
         ]);
         // `timed` is clean (taint absorbed at the boundary); `raw` and
-        // `caller` both fire.
+        // `caller` both fire. The token rule flags every raw clock read,
+        // boundary or not, until it carries its own allow.
         let fired: Vec<(&str, u32)> = report
             .diagnostics
             .iter()
@@ -1638,12 +1581,17 @@ mod tests {
             .collect();
         assert_eq!(
             fired,
-            vec![("wall-clock-taint", 1), ("wall-clock-taint", 2)],
+            vec![
+                ("wall-clock-taint", 1),
+                ("wall-clock", 1),
+                ("wall-clock-taint", 2),
+                ("wall-clock", 3),
+            ],
             "{}",
             report.render_text()
         );
         assert!(report.diagnostics[0].message.contains("directly"));
-        assert!(report.diagnostics[1].message.contains("via `raw`"));
+        assert!(report.diagnostics[2].message.contains("via `raw`"));
     }
 
     #[test]
@@ -1653,7 +1601,10 @@ mod tests {
             "// vr-analyze::boundary(wall-clock, reason = \"the seam\")\n\
              pub fn now_raw() -> Instant { Instant::now() }\n",
         )]);
-        assert_eq!(rules_fired(&report), vec!["wall-clock-leak"]);
+        assert_eq!(
+            rules_fired(&report),
+            vec!["wall-clock-leak", "wall-clock", "wall-clock"]
+        );
     }
 
     #[test]
@@ -1866,26 +1817,5 @@ mod tests {
         let live = "pub fn f() { let g = q.lock().unwrap_or_else(e); ch.recv(); }\n";
         assert!(analyze(&[("crates/serve/tests/x.rs", live)]).is_clean());
         assert!(!analyze(&[("crates/serve/src/x.rs", live)]).is_clean());
-    }
-
-    #[test]
-    fn renderers_are_stable() {
-        let report = analyze(&[(
-            "crates/serve/src/x.rs",
-            "pub fn f() { let g = q.lock().unwrap_or_else(e); ch.recv(); }\n",
-        )]);
-        let text = report.render_text();
-        assert!(text.contains("error[blocking-while-locked]"), "{text}");
-        assert!(text.contains("vr-analyze: 1 file(s)"), "{text}");
-        let json = report.render_json();
-        assert!(json.contains("\"version\": 1"), "{json}");
-        assert!(json.contains("\"fns_indexed\": 1"), "{json}");
-        let sarif = report.render_sarif();
-        assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-        assert!(
-            sarif.contains("\"ruleId\": \"blocking-while-locked\""),
-            "{sarif}"
-        );
-        assert!(sarif.contains("\"startLine\""), "{sarif}");
     }
 }

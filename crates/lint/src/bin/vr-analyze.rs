@@ -1,30 +1,28 @@
-//! The `vr-analyze` binary: semantic analysis over the whole workspace.
+//! The `vr-analyze` binary: runs every rule over the whole workspace.
 //!
 //! ```sh
-//! vr-analyze --workspace                         # what CI runs
-//! vr-analyze --workspace --format json
-//! vr-analyze --workspace --sarif-out analyze.sarif
+//! vr-analyze                                          # text report
+//! vr-analyze --format json --sarif-out analyze.sarif  # what CI runs
 //! ```
 //!
-//! Unlike `vr-lint`, there is no single-file mode: the taint and
-//! lock-order rules are whole-program by nature (a finding in one file
-//! can be caused by a call three crates away), so the unit of analysis
-//! is always the workspace.
+//! There is no single-file mode: the taint and lock-order rules are
+//! whole-program by nature (a finding in one file can be caused by a call
+//! three crates away), so the unit of analysis is always the workspace.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vr_lint::{analyze_workspace, find_workspace_root, ANALYZE_RULES};
+use vr_lint::{analyze_workspace, workspace_root, Format, RULES};
 
 const USAGE: &str = "\
-vr-analyze — cross-crate semantic analysis for the vrecon workspace
-(taint tracking for determinism boundaries; lock-order, blocking and
+vr-analyze — determinism, panic-safety and concurrency analyzer for the
+vrecon workspace (token rules with per-crate scoping; cross-crate taint
+tracking for the determinism boundaries; lock-order, blocking and
 Condvar discipline over the pool/serve layer)
 
 USAGE:
-  vr-analyze [--workspace] [--root DIR] [--format text|json|sarif] [--sarif-out FILE]
+  vr-analyze [--root DIR] [--format text|json|sarif] [--sarif-out FILE]
 
 The workspace root is found by walking up from the current directory to
 a Cargo.toml with [workspace], or taken from --root. --sarif-out writes
@@ -36,23 +34,16 @@ RULES:
 
 fn usage() -> String {
     let mut out = USAGE.to_owned();
-    for (name, summary) in ANALYZE_RULES {
-        out.push_str(&format!("  {name:24} {summary}\n"));
+    for rule in RULES {
+        out.push_str(&format!("  {:28} {}\n", rule.name, rule.summary));
     }
     out
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 struct Options {
-    root: Option<PathBuf>,
+    root: Option<String>,
     format: Format,
-    sarif_out: Option<PathBuf>,
+    sarif_out: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -64,30 +55,29 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--workspace" => {}
-            "--root" => {
-                let v = iter.next().ok_or("--root requires a value")?;
-                opts.root = Some(PathBuf::from(v));
-            }
+            "--root" => opts.root = Some(iter.next().ok_or("--root requires a value")?.clone()),
             "--format" => {
-                opts.format = match iter.next().map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        return Err(format!("--format must be text|json|sarif, got {other:?}"))
-                    }
-                }
+                opts.format = Format::parse(iter.next().ok_or("--format requires a value")?)?;
             }
             "--sarif-out" => {
-                let v = iter.next().ok_or("--sarif-out requires a value")?;
-                opts.sarif_out = Some(PathBuf::from(v));
+                opts.sarif_out = Some(iter.next().ok_or("--sarif-out requires a value")?.clone());
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other}")),
         }
     }
     Ok(opts)
+}
+
+fn run(opts: &Options) -> Result<bool, String> {
+    let root = workspace_root(opts.root.as_deref())?;
+    let report = analyze_workspace(&root)?;
+    if let Some(path) = &opts.sarif_out {
+        std::fs::write(path, report.render_sarif())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    println!("{}", report.render(opts.format));
+    Ok(report.is_clean())
 }
 
 fn main() -> ExitCode {
@@ -103,46 +93,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let root = match &opts.root {
-        Some(r) => r.clone(),
-        None => {
-            let cwd = match std::env::current_dir() {
-                Ok(cwd) => cwd,
-                Err(e) => {
-                    eprintln!("error: cannot read cwd: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match find_workspace_root(&cwd) {
-                Some(root) => root,
-                None => {
-                    eprintln!(
-                        "error: no [workspace] Cargo.toml above the current directory; use --root"
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-    match analyze_workspace(&root) {
-        Ok(report) => {
-            if let Some(path) = &opts.sarif_out {
-                if let Err(e) = std::fs::write(path, report.render_sarif()) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-            match opts.format {
-                Format::Text => println!("{}", report.render_text()),
-                Format::Json => println!("{}", report.render_json()),
-                Format::Sarif => println!("{}", report.render_sarif()),
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
+    match run(&opts) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::from(2)

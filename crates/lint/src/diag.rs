@@ -1,6 +1,9 @@
-//! Diagnostics: positions, rendering, machine-readable JSON output.
+//! Diagnostics and the analyzer's one report: rustc-style text, JSON and
+//! SARIF output.
 
 use std::fmt;
+
+use crate::rules::RULES;
 
 /// One finding, anchored to a file position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,7 +14,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column (in characters).
     pub col: u32,
-    /// The rule that fired (or `stale-allow` / `malformed-directive`).
+    /// The rule that fired (a name in [`RULES`]).
     pub rule: String,
     /// Human-facing explanation.
     pub message: String,
@@ -34,24 +37,55 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The aggregated result of a lint run.
+/// How a report is rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    Text,
+    Json,
+    Sarif,
+}
+
+impl Format {
+    /// Parses a `--format` value.
+    pub fn parse(name: &str) -> Result<Format, String> {
+        match name {
+            "text" => Ok(Format::Text),
+            "json" => Ok(Format::Json),
+            "sarif" => Ok(Format::Sarif),
+            other => Err(format!("--format must be text|json|sarif, got {other}")),
+        }
+    }
+}
+
+/// The aggregated result of an analysis run.
 #[derive(Debug, Default)]
-pub struct LintReport {
-    /// All findings (including stale allows), sorted by position.
+pub struct AnalysisReport {
+    /// All findings, sorted by position.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files analysed.
     pub files_scanned: usize,
-    /// Number of well-formed `vr-lint::allow` directives seen.
+    /// Number of functions in the cross-crate index.
+    pub fns_indexed: usize,
+    /// Well-formed directives seen (all four kinds).
     pub allows: usize,
-    /// How many of those suppressed nothing (each also appears as a
-    /// `stale-allow` diagnostic).
+    /// Of those, how many affected nothing (each also appears as a
+    /// `stale-allow` or `stale-directive` diagnostic).
     pub stale_allows: usize,
 }
 
-impl LintReport {
+impl AnalysisReport {
     /// `true` when nothing fired — the workspace passes.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
+    }
+
+    /// Renders the report in `format`.
+    pub fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => self.render_text(),
+            Format::Json => self.render_json(),
+            Format::Sarif => self.render_sarif(),
+        }
     }
 
     /// rustc-style one-line-per-finding text, with a trailing summary.
@@ -62,8 +96,9 @@ impl LintReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "vr-lint: {} file(s), {} allow directive(s) ({} stale), {} diagnostic(s)",
+            "vr-analyze: {} file(s), {} fn(s) indexed, {} directive(s) ({} stale), {} diagnostic(s)",
             self.files_scanned,
+            self.fns_indexed,
             self.allows,
             self.stale_allows,
             self.diagnostics.len()
@@ -91,9 +126,51 @@ impl LintReport {
             out.push_str("\n  ");
         }
         out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"allows\": {},\n  \"stale_allows\": {}\n}}",
-            self.files_scanned, self.allows, self.stale_allows
+            "],\n  \"files_scanned\": {},\n  \"fns_indexed\": {},\n  \"allows\": {},\n  \"stale_allows\": {}\n}}",
+            self.files_scanned, self.fns_indexed, self.allows, self.stale_allows
         ));
+        out
+    }
+
+    /// SARIF 2.1.0, the minimal shape code-scanning UIs ingest: one run
+    /// whose tool lists every rule, one result per diagnostic with a
+    /// physical location.
+    pub fn render_sarif(&self) -> String {
+        let mut out = String::from(
+            "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
+             \"version\": \"2.1.0\",\n  \"runs\": [{\n    \"tool\": {\"driver\": {\n      \
+             \"name\": \"vr-analyze\",\n      \"rules\": [",
+        );
+        for (i, rule) in RULES.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "\n        {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
+                json_escape(rule.name),
+                json_escape(rule.summary)
+            ));
+        }
+        out.push_str("\n      ]\n    }},\n    \"results\": [");
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "\n      {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \
+                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
+                 \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
+                json_escape(&d.rule),
+                json_escape(&d.message),
+                json_escape(&d.file),
+                d.line,
+                d.col
+            ));
+        }
+        if !self.diagnostics.is_empty() {
+            out.push_str("\n    ");
+        }
+        out.push_str("]\n  }]\n}");
         out
     }
 }
@@ -144,24 +221,63 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
-        let report = LintReport {
+    fn report_renderings_carry_counts_and_positions() {
+        let report = AnalysisReport {
             diagnostics: vec![diag()],
             files_scanned: 3,
+            fns_indexed: 9,
             allows: 2,
             stale_allows: 1,
         };
-        let json = report.render_json();
-        assert!(json.contains("\"version\": 1"));
-        assert!(json.contains("\"line\": 44"));
-        assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"stale_allows\": 1"));
+        let text = report.render(Format::Text);
+        assert!(
+            text.contains("error[nondeterministic-collection]"),
+            "{text}"
+        );
+        assert!(
+            text.ends_with(
+                "vr-analyze: 3 file(s), 9 fn(s) indexed, 2 directive(s) (1 stale), 1 diagnostic(s)"
+            ),
+            "{text}"
+        );
+        let json = report.render(Format::Json);
+        for field in [
+            "\"version\": 1",
+            "\"line\": 44",
+            "\"files_scanned\": 3",
+            "\"fns_indexed\": 9",
+            "\"allows\": 2",
+            "\"stale_allows\": 1",
+        ] {
+            assert!(json.contains(field), "{field} missing: {json}");
+        }
+        let sarif = report.render(Format::Sarif);
+        assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
+        assert!(
+            sarif.contains("\"ruleId\": \"nondeterministic-collection\""),
+            "{sarif}"
+        );
+        assert!(sarif.contains("\"startLine\": 44"), "{sarif}");
+        // The tool's rule list covers token, semantic and meta rules alike.
+        for rule in RULES {
+            assert!(
+                sarif.contains(&format!("\"id\": \"{}\"", rule.name)),
+                "{}",
+                rule.name
+            );
+        }
     }
 
     #[test]
     fn empty_report_is_clean_and_valid_json() {
-        let report = LintReport::default();
+        let report = AnalysisReport::default();
         assert!(report.is_clean());
         assert!(report.render_json().contains("\"diagnostics\": []"));
+    }
+
+    #[test]
+    fn format_names() {
+        assert_eq!(Format::parse("sarif"), Ok(Format::Sarif));
+        assert!(Format::parse("yaml").is_err());
     }
 }

@@ -15,7 +15,7 @@
 //!   (`1.5`, `1.`, `1..2`, `1.max(2)`, `1e9`, `2f64`).
 //!
 //! Comments are preserved (with positions) so the rule engine can parse
-//! `vr-lint::allow(...)` suppression directives out of them.
+//! `vr-analyze::allow(...)` suppression directives out of them.
 
 /// What a token is, as far as the rule engine needs to know.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,22 +1,24 @@
-//! `vr-lint` — a dependency-free determinism & panic-safety analyzer for
-//! the vrecon workspace.
+//! `vr-lint` — a dependency-free determinism, panic-safety and
+//! concurrency analyzer for the vrecon workspace.
 //!
 //! The reproduction's headline guarantee is that `(plan, seed)` determines
 //! the `RunReport` bit-for-bit. That contract used to rest on convention;
-//! this crate makes it machine-checked. A hand-rolled token-level lexer
-//! (the container is offline — no `syn`/`quote`; see the
-//! `vr_simcore::jsonio` precedent) feeds a small rule engine with
-//! per-crate scoping, rustc-style `file:line:col` diagnostics, JSON
-//! output, and `// vr-lint::allow(rule, reason = "...")` suppression
-//! directives with mandatory reasons and stale-allow reporting.
+//! this crate makes it machine-checked. A hand-rolled lexer (the container
+//! is offline — no `syn`/`quote`; see the `vr_simcore::jsonio` precedent)
+//! feeds one pipeline, [`analyze_sources`]: per-file token rules with
+//! per-crate scoping and whole-workspace taint and lock rules over a call
+//! graph, one `// vr-analyze::allow(rule, reason = "...")` directive
+//! grammar with mandatory reasons and stale-directive reporting, and one
+//! report with rustc-style `file:line:col` text, JSON and SARIF output.
 //!
-//! Three entry points:
+//! Three entry points run it:
 //!
-//! * the `vr-lint` binary (`cargo run -p vr-lint -- --workspace`), used by
-//!   CI;
-//! * the `vrecon lint` subcommand;
-//! * the self-lint integration test in this crate, which makes tier-1
-//!   `cargo test -q` fail on any new hazard.
+//! * the `vr-analyze` binary (`cargo run -p vr-lint --bin vr-analyze`),
+//!   used by CI;
+//! * the `vrecon analyze` subcommand;
+//! * the workspace self-check test (`tests/lint_clean.rs` at the
+//!   workspace root), which makes tier-1 `cargo test -q` fail on any new
+//!   hazard.
 //!
 //! See `ARCHITECTURE.md` ("Static analysis") for the rule table.
 
@@ -29,205 +31,9 @@ pub mod syntax;
 
 use std::path::{Path, PathBuf};
 
-pub use analyze::{analyze_sources, analyze_workspace, AnalysisReport, ANALYZE_RULES};
-pub use diag::{Diagnostic, LintReport};
+pub use analyze::{analyze_sources, analyze_workspace};
+pub use diag::{AnalysisReport, Diagnostic, Format};
 pub use rules::{FileContext, Role, RULES};
-
-/// A parsed `vr-lint::allow` directive.
-#[derive(Debug)]
-struct Directive {
-    rule: String,
-    line: u32,
-    col: u32,
-    /// `Some(why)` when the directive is malformed.
-    error: Option<String>,
-    used: bool,
-}
-
-/// The marker that introduces a directive inside a `//` comment.
-const MARKER: &str = "vr-lint::";
-
-/// Parses directives out of a file's comments. A directive is a plain
-/// `//` comment whose (trimmed) text *starts with* `vr-lint::`; it must
-/// parse as `allow(<rule>, reason = "<text>")` with a known rule name and
-/// a non-empty reason, or it becomes a `malformed-directive` diagnostic —
-/// a suppression that silently does nothing is worse than a loud one.
-/// Doc comments (`///`, `//!`) lex with a leading `/` or `!` in their
-/// text, so prose that merely *mentions* the syntax never matches.
-fn parse_directives(comments: &[lexer::Comment]) -> Vec<Directive> {
-    let mut out = Vec::new();
-    for c in comments {
-        let trimmed = c.text.trim_start();
-        if !trimmed.starts_with(MARKER) {
-            continue;
-        }
-        let rest = &trimmed[MARKER.len()..];
-        let mut directive = Directive {
-            rule: String::new(),
-            line: c.line,
-            col: c.col,
-            error: None,
-            used: false,
-        };
-        match parse_allow(rest) {
-            Ok((rule, _reason)) => {
-                if rules::rule_named(&rule).is_none() {
-                    directive.error = Some(format!("unknown rule `{rule}`"));
-                }
-                directive.rule = rule;
-            }
-            Err(why) => directive.error = Some(why),
-        }
-        out.push(directive);
-    }
-    out
-}
-
-/// Parses `allow(<rule>, reason = "<text>")`, returning `(rule, reason)`.
-fn parse_allow(text: &str) -> Result<(String, String), String> {
-    let text = text.trim_start();
-    let body = text
-        .strip_prefix("allow")
-        .ok_or_else(|| "expected `allow(...)` after `vr-lint::`".to_owned())?
-        .trim_start();
-    let body = body
-        .strip_prefix('(')
-        .ok_or_else(|| "expected `(` after `allow`".to_owned())?;
-    let close = body
-        .rfind(')')
-        .ok_or_else(|| "unclosed `allow(` directive".to_owned())?;
-    let body = &body[..close];
-    let (rule, rest) = body.split_once(',').ok_or_else(|| {
-        "expected `allow(rule, reason = \"...\")` — the reason is mandatory".to_owned()
-    })?;
-    let rule = rule.trim().to_owned();
-    if rule.is_empty() {
-        return Err("empty rule name".to_owned());
-    }
-    let rest = rest.trim();
-    let value = rest
-        .strip_prefix("reason")
-        .map(str::trim_start)
-        .and_then(|r| r.strip_prefix('='))
-        .map(str::trim)
-        .ok_or_else(|| "expected `reason = \"...\"` after the rule name".to_owned())?;
-    let reason = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| "reason must be a double-quoted string".to_owned())?;
-    if reason.trim().is_empty() {
-        return Err("reason must not be empty".to_owned());
-    }
-    Ok((rule, reason.to_owned()))
-}
-
-/// The outcome of linting one source file.
-#[derive(Debug, Default)]
-pub struct FileOutcome {
-    /// Unsuppressed findings, including stale/malformed directive reports.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Well-formed allow directives seen.
-    pub allows: usize,
-    /// Of those, how many suppressed nothing.
-    pub stale_allows: usize,
-}
-
-/// Lints one file's source text under an explicit context. `rel_path` is
-/// used both for diagnostics and for path-scoped rules, so pass the real
-/// workspace-relative path when there is one.
-pub fn lint_source(rel_path: &str, src: &str, ctx: &FileContext) -> FileOutcome {
-    let lexed = lexer::lex(src);
-    let regions = rules::test_regions(&lexed.tokens);
-    let mut directives = parse_directives(&lexed.comments);
-    let mut out = FileOutcome::default();
-
-    for rule in RULES {
-        if !(rule.applies)(&ctx.krate, rel_path) {
-            continue;
-        }
-        if rule.skip_test_code && ctx.role == Role::Test {
-            continue;
-        }
-        if rule.skip_bin_code && matches!(ctx.role, Role::Bin | Role::Example) {
-            continue;
-        }
-        let mut findings: Vec<(u32, u32, String)> = Vec::new();
-        (rule.run)(&lexed.tokens, &mut |line, col, message| {
-            findings.push((line, col, message));
-        });
-        for (line, col, message) in findings {
-            if rule.skip_test_code && rules::in_regions(&regions, line) {
-                continue;
-            }
-            // A directive suppresses findings of its rule on its own line
-            // and the line directly below it. A directive sitting inside a
-            // `#[cfg(test)]` region for a rule that skips test code is
-            // never eligible: the rule is exempt there, so the directive
-            // is dead weight — and without this check one placed on the
-            // region's closing line would silently suppress *live* code on
-            // the next line instead of being reported stale.
-            let suppressed = directives.iter_mut().any(|d| {
-                let hit = d.error.is_none()
-                    && d.rule == rule.name
-                    && (d.line == line || d.line + 1 == line)
-                    && !(rule.skip_test_code && rules::in_regions(&regions, d.line));
-                if hit {
-                    d.used = true;
-                }
-                hit
-            });
-            if suppressed {
-                continue;
-            }
-            out.diagnostics.push(Diagnostic {
-                file: rel_path.to_owned(),
-                line,
-                col,
-                rule: rule.name.to_owned(),
-                message,
-            });
-        }
-    }
-
-    for d in &directives {
-        match &d.error {
-            Some(why) => out.diagnostics.push(Diagnostic {
-                file: rel_path.to_owned(),
-                line: d.line,
-                col: d.col,
-                rule: "malformed-directive".to_owned(),
-                message: format!("{why}; write `vr-lint::allow(rule, reason = \"...\")`"),
-            }),
-            None => {
-                out.allows += 1;
-                if !d.used {
-                    out.stale_allows += 1;
-                    let exempt_region = rules::rule_named(&d.rule)
-                        .is_some_and(|r| r.skip_test_code)
-                        && rules::in_regions(&regions, d.line);
-                    let message = if exempt_region {
-                        format!(
-                            "allow({}) sits inside `#[cfg(test)]` code where the \
-                             rule is already exempt; remove the directive",
-                            d.rule
-                        )
-                    } else {
-                        format!("allow({}) suppressed nothing; remove the directive", d.rule)
-                    };
-                    out.diagnostics.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: d.line,
-                        col: d.col,
-                        rule: "stale-allow".to_owned(),
-                        message,
-                    });
-                }
-            }
-        }
-    }
-    out.diagnostics.sort_by_key(|d| d.sort_key());
-    out
-}
 
 /// Classifies a workspace-relative path into its crate and role.
 pub fn classify(rel_path: &str) -> FileContext {
@@ -296,58 +102,34 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     Ok(files)
 }
 
-/// Lints the whole workspace rooted at `root`.
-pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
-    let mut report = LintReport::default();
-    for (abs, rel) in workspace_files(root)? {
-        let src = std::fs::read_to_string(&abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let ctx = classify(&rel);
-        let outcome = lint_source(&rel, &src, &ctx);
-        report.diagnostics.extend(outcome.diagnostics);
-        report.allows += outcome.allows;
-        report.stale_allows += outcome.stale_allows;
-        report.files_scanned += 1;
+/// The workspace to analyze: `root` when given, else the nearest ancestor
+/// of the current directory whose `Cargo.toml` declares `[workspace]`.
+pub fn workspace_root(root: Option<&str>) -> Result<PathBuf, String> {
+    if let Some(root) = root {
+        return Ok(PathBuf::from(root));
     }
-    report.diagnostics.sort_by_key(|d| d.sort_key());
-    Ok(report)
-}
-
-/// Walks upward from `start` to the nearest directory whose `Cargo.toml`
-/// declares `[workspace]` — how `vrecon lint` finds the workspace root.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
+    let cwd = std::env::current_dir().map_err(|e| format!("cannot read current directory: {e}"))?;
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .map(Path::to_path_buf)
+        .ok_or_else(|| {
+            "no [workspace] Cargo.toml above the current directory; use --root".to_owned()
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lib_ctx(krate: &str) -> FileContext {
-        FileContext {
-            krate: krate.to_owned(),
-            role: Role::Lib,
-        }
+    fn analyze(rel_path: &str, src: &str) -> AnalysisReport {
+        analyze_sources(&[(rel_path.to_owned(), src.to_owned())])
     }
 
-    #[test]
-    fn allow_directive_grammar() {
-        assert!(parse_allow(r#"allow(float-eq, reason = "exact guard")"#).is_ok());
-        assert!(parse_allow(r#"allow( float-eq , reason = "x" )"#).is_ok());
-        assert!(parse_allow(r#"allow(float-eq)"#).is_err());
-        assert!(parse_allow(r#"allow(float-eq, reason = "")"#).is_err());
-        assert!(parse_allow(r#"allow(float-eq, reason = unquoted)"#).is_err());
-        assert!(parse_allow(r#"deny(float-eq)"#).is_err());
+    fn rules_fired(report: &AnalysisReport) -> Vec<&str> {
+        report.diagnostics.iter().map(|d| d.rule.as_str()).collect()
     }
 
     #[test]
@@ -357,7 +139,7 @@ mod tests {
 use std::collections::HashMap;
 use std::collections::HashSet;
 ";
-        let out = lint_source("crates/core/src/x.rs", src, &lib_ctx("core"));
+        let out = analyze("crates/core/src/x.rs", src);
         // Line 2 suppressed, line 3 not.
         assert_eq!(out.diagnostics.len(), 1);
         assert_eq!(out.diagnostics[0].line, 3);
@@ -368,91 +150,69 @@ use std::collections::HashSet;
     #[test]
     fn trailing_allow_on_same_line() {
         let src = "use std::collections::HashSet; // vr-lint::allow(nondeterministic-collection, reason = \"never iterated\")\n";
-        let out = lint_source("crates/simcore/src/x.rs", src, &lib_ctx("simcore"));
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        let out = analyze("crates/simcore/src/x.rs", src);
+        assert!(out.is_clean(), "{}", out.render_text());
     }
 
     #[test]
     fn stale_allow_is_reported() {
         let src = "// vr-lint::allow(wall-clock, reason = \"no longer true\")\nfn f() {}\n";
-        let out = lint_source("crates/core/src/x.rs", src, &lib_ctx("core"));
-        assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, "stale-allow");
+        let out = analyze("crates/core/src/x.rs", src);
+        assert_eq!(rules_fired(&out), vec!["stale-allow"]);
         assert_eq!(out.stale_allows, 1);
     }
 
     #[test]
     fn malformed_and_unknown_rule_directives() {
         let src = "// vr-lint::allow(nope-rule, reason = \"x\")\n// vr-lint::allow(float-eq)\n";
-        let out = lint_source("crates/core/src/x.rs", src, &lib_ctx("core"));
-        assert_eq!(out.diagnostics.len(), 2);
-        assert!(out
-            .diagnostics
-            .iter()
-            .all(|d| d.rule == "malformed-directive"));
+        let out = analyze("crates/core/src/x.rs", src);
+        assert_eq!(
+            rules_fired(&out),
+            vec!["malformed-directive", "malformed-directive"]
+        );
     }
 
     #[test]
     fn crate_scoping_gates_rules() {
         let src = "use std::collections::HashMap;\n";
-        assert_eq!(
-            lint_source("crates/core/src/x.rs", src, &lib_ctx("core"))
-                .diagnostics
-                .len(),
-            1
-        );
+        assert_eq!(analyze("crates/core/src/x.rs", src).diagnostics.len(), 1);
         // The analysis crate is outside the deterministic set.
-        assert!(
-            lint_source("crates/analysis/src/x.rs", src, &lib_ctx("analysis"))
-                .diagnostics
-                .is_empty()
-        );
+        assert!(analyze("crates/analysis/src/x.rs", src).is_clean());
     }
 
     #[test]
     fn panic_rule_exempts_tests_and_bins() {
         let src = "fn f() { x.unwrap(); }\n";
         assert_eq!(
-            lint_source("crates/core/src/x.rs", src, &lib_ctx("core"))
-                .diagnostics
-                .len(),
-            1
+            rules_fired(&analyze("crates/core/src/x.rs", src)),
+            vec!["panic-in-lib"]
         );
-        for role in [Role::Test, Role::Bin, Role::Example] {
-            let ctx = FileContext {
-                krate: "core".to_owned(),
-                role,
-            };
-            assert!(lint_source("crates/core/src/x.rs", src, &ctx)
-                .diagnostics
-                .is_empty());
+        for path in [
+            "crates/core/tests/x.rs",
+            "crates/core/src/bin/x.rs",
+            "crates/core/examples/x.rs",
+        ] {
+            assert!(analyze(path, src).is_clean(), "{path}");
         }
         // ... and in-file #[cfg(test)] modules.
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
-        assert!(lint_source("crates/core/src/x.rs", src, &lib_ctx("core"))
-            .diagnostics
-            .is_empty());
+        assert!(analyze("crates/core/src/x.rs", src).is_clean());
     }
 
     #[test]
     fn wall_clock_has_no_filename_escape_hatch() {
         let src = "use std::time::Instant;\nfn now() -> Instant { Instant::now() }\n";
-        // The serve crate is NOT in the orchestration allow-list…
-        assert_eq!(
-            lint_source("crates/serve/src/server.rs", src, &lib_ctx("serve"))
-                .diagnostics
-                .len(),
-            3
-        );
-        // …and since the boundary moved to checked `vr-analyze` taint,
-        // even the clock-injection file answers to the token rule: every
-        // `Instant` there needs its own reasoned allow.
-        assert_eq!(
-            lint_source("crates/serve/src/clock.rs", src, &lib_ctx("serve"))
-                .diagnostics
-                .len(),
-            3
-        );
+        // The serve crate is NOT in the orchestration allow-list, and the
+        // clock-injection file gets no pass from its name: every
+        // `Instant` there needs its own reasoned allow, and the read
+        // taints its fn until the file declares the boundary.
+        for path in ["crates/serve/src/server.rs", "crates/serve/src/clock.rs"] {
+            assert_eq!(
+                rules_fired(&analyze(path, src)),
+                vec!["wall-clock", "wall-clock-taint", "wall-clock", "wall-clock"],
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -468,10 +228,9 @@ mod tests {
 } // vr-lint::allow(panic-in-lib, reason = \"exempt in tests anyway\")
 fn hot() -> u32 { x.unwrap() }
 ";
-        let out = lint_source("crates/core/src/x.rs", src, &lib_ctx("core"));
-        assert_eq!(out.stale_allows, 1, "{:?}", out.diagnostics);
-        let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule.as_str()).collect();
-        assert_eq!(rules, vec!["stale-allow", "panic-in-lib"]);
+        let out = analyze("crates/core/src/x.rs", src);
+        assert_eq!(out.stale_allows, 1, "{}", out.render_text());
+        assert_eq!(rules_fired(&out), vec!["stale-allow", "panic-in-lib"]);
         assert!(out.diagnostics[0].message.contains("#[cfg(test)]"));
         // A directive fully inside the region is stale too, with the
         // region-specific explanation.
@@ -483,7 +242,7 @@ mod tests {
     fn t() -> u32 { y.unwrap() }
 }
 ";
-        let out = lint_source("crates/core/src/x.rs", src, &lib_ctx("core"));
+        let out = analyze("crates/core/src/x.rs", src);
         assert_eq!(out.stale_allows, 1);
         assert_eq!(out.diagnostics.len(), 1);
         assert!(out.diagnostics[0].message.contains("already exempt"));
@@ -492,19 +251,14 @@ mod tests {
     #[test]
     fn unsafe_block_rule_fires_in_deterministic_crates_only() {
         let src = "fn f(p: *const u32) -> u32 { unsafe { *p } }\n";
-        let out = lint_source("crates/simcore/src/x.rs", src, &lib_ctx("simcore"));
-        assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, "unsafe-block");
+        let out = analyze("crates/simcore/src/x.rs", src);
+        assert_eq!(rules_fired(&out), vec!["unsafe-block"]);
         // The orchestration layer is outside the rule's scope.
-        assert!(
-            lint_source("crates/runner/src/x.rs", src, &lib_ctx("runner"))
-                .diagnostics
-                .is_empty()
-        );
+        assert!(analyze("crates/runner/src/x.rs", src).is_clean());
         // The reasoned escape hatch works like every other rule.
         let allowed = "// vr-lint::allow(unsafe-block, reason = \"FFI shim audited in review\")\nfn f(p: *const u32) -> u32 { unsafe { *p } }\n";
-        let out = lint_source("crates/simcore/src/x.rs", allowed, &lib_ctx("simcore"));
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+        let out = analyze("crates/simcore/src/x.rs", allowed);
+        assert!(out.is_clean(), "{}", out.render_text());
     }
 
     #[test]

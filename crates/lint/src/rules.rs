@@ -1,4 +1,4 @@
-//! The rule set and its per-crate scoping.
+//! The rule table and its per-crate scoping.
 //!
 //! Each rule targets a hazard this codebase has actually had (or is one
 //! refactor away from having). The scoping tables below are the project's
@@ -6,6 +6,10 @@
 //! must be bit-reproducible from `(plan, seed)`, so anything that injects
 //! host state — hash iteration order, wall clocks, environment variables —
 //! is banned there and only allowed in the orchestration layer.
+//!
+//! [`RULES`] names every rule that can appear in a diagnostic. The token
+//! rules are implemented here; the semantic rules live in
+//! [`crate::analyze`], which also runs the token stage.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -15,11 +19,11 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "check", "cluster", "core", "faults", "metrics", "simcore", "trace", "workload",
 ];
 
-/// Crates allowed to read wall clocks (orchestration / reporting layer).
-/// Public because the semantic wall-clock taint pass (`vr-analyze`) shares
-/// the same scoping table. There is deliberately no per-file allowlist any
-/// more: a crate outside this set that must read the clock declares an
-/// in-source `vr-analyze::boundary(wall-clock, ...)` directive, and every
+/// Crates allowed to read wall clocks (orchestration / reporting layer),
+/// shared by the `wall-clock` token rule and the `wall-clock-taint` pass.
+/// There is deliberately no per-file allowlist: a crate outside this set
+/// that must read the clock declares an in-source
+/// `vr-analyze::boundary(wall-clock, ...)` directive, and every
 /// token-level finding in that file carries its own reasoned allow — the
 /// boundary is a checked property, not a filename.
 pub const WALL_CLOCK_ALLOWED: &[&str] = &["bench", "cli", "lint", "runner"];
@@ -60,12 +64,29 @@ pub struct FileContext {
 /// A rule's finding sink: `(line, col, message)`.
 pub type Emit<'a> = &'a mut dyn FnMut(u32, u32, String);
 
-/// One lint rule.
+/// One rule: a name for diagnostics and allow directives, a summary for
+/// `--help`, the docs and SARIF, and how it is checked.
 pub struct Rule {
-    /// Kebab-case name, used in diagnostics and allow directives.
+    /// Kebab-case name.
     pub name: &'static str,
-    /// One-line description for docs and `--help`.
+    /// One-line description.
     pub summary: &'static str,
+    pub check: Check,
+}
+
+/// How a rule is checked.
+pub enum Check {
+    /// A scan of one file's tokens.
+    Token(TokenRule),
+    /// A whole-workspace rule over the call graph or the lock model,
+    /// implemented in [`crate::analyze`].
+    Semantic,
+    /// A finding about a directive itself; it cannot be allowed.
+    Meta,
+}
+
+/// A token rule's scoping and scanner.
+pub struct TokenRule {
     /// Skip findings in test code (`tests/`, `benches/`, `#[cfg(test)]`).
     pub skip_test_code: bool,
     /// Skip findings in binary entry points and examples.
@@ -76,68 +97,145 @@ pub struct Rule {
     pub run: fn(&[Tok], Emit<'_>),
 }
 
-/// The rule table. Order is the order findings are reported in within a
-/// position tie, so keep it alphabetical.
+impl Rule {
+    /// `true` for a token rule that exempts `#[cfg(test)]` code, where an
+    /// allow directive for it is dead weight.
+    pub fn skips_test_code(&self) -> bool {
+        matches!(&self.check, Check::Token(t) if t.skip_test_code)
+    }
+}
+
+/// Every rule that can appear in a diagnostic: the seven token rules, the
+/// eight semantic rules, then the three meta rules.
 pub const RULES: &[Rule] = &[
     Rule {
         name: "env-read",
         summary: "process environment reads outside the config/CLI layer",
-        skip_test_code: false,
-        skip_bin_code: false,
-        applies: |krate, _| !ENV_ALLOWED.contains(&krate),
-        run: run_env_read,
+        check: Check::Token(TokenRule {
+            skip_test_code: false,
+            skip_bin_code: false,
+            applies: |krate, _| !ENV_ALLOWED.contains(&krate),
+            run: run_env_read,
+        }),
     },
     Rule {
         name: "float-eq",
         summary: "== / != against a float literal",
-        skip_test_code: true,
-        skip_bin_code: false,
-        applies: |_, _| true,
-        run: run_float_eq,
+        check: Check::Token(TokenRule {
+            skip_test_code: true,
+            skip_bin_code: false,
+            applies: |_, _| true,
+            run: run_float_eq,
+        }),
     },
     Rule {
         name: "narrowing-as-cast",
         summary: "narrowing integer `as` cast in memory-accounting modules",
-        skip_test_code: true,
-        skip_bin_code: false,
-        applies: |_, rel| MEMORY_ACCOUNTING_MODULES.contains(&rel),
-        run: run_narrowing_as_cast,
+        check: Check::Token(TokenRule {
+            skip_test_code: true,
+            skip_bin_code: false,
+            applies: |_, rel| MEMORY_ACCOUNTING_MODULES.contains(&rel),
+            run: run_narrowing_as_cast,
+        }),
     },
     Rule {
         name: "nondeterministic-collection",
         summary: "HashMap/HashSet in the deterministic simulation crates",
-        skip_test_code: false,
-        skip_bin_code: false,
-        applies: |krate, _| DETERMINISTIC_CRATES.contains(&krate),
-        run: run_nondeterministic_collection,
+        check: Check::Token(TokenRule {
+            skip_test_code: false,
+            skip_bin_code: false,
+            applies: |krate, _| DETERMINISTIC_CRATES.contains(&krate),
+            run: run_nondeterministic_collection,
+        }),
     },
     Rule {
         name: "panic-in-lib",
         summary: "unwrap/expect/panic!/todo! in library code",
-        skip_test_code: true,
-        skip_bin_code: true,
-        applies: |_, _| true,
-        run: run_panic_in_lib,
+        check: Check::Token(TokenRule {
+            skip_test_code: true,
+            skip_bin_code: true,
+            applies: |_, _| true,
+            run: run_panic_in_lib,
+        }),
     },
     Rule {
         name: "unsafe-block",
         summary: "`unsafe` in the deterministic simulation crates",
-        skip_test_code: false,
-        skip_bin_code: false,
-        applies: |krate, _| DETERMINISTIC_CRATES.contains(&krate),
-        run: run_unsafe_block,
+        check: Check::Token(TokenRule {
+            skip_test_code: false,
+            skip_bin_code: false,
+            applies: |krate, _| DETERMINISTIC_CRATES.contains(&krate),
+            run: run_unsafe_block,
+        }),
     },
     Rule {
         name: "wall-clock",
         summary: "Instant/SystemTime outside the orchestration layer",
-        skip_test_code: false,
-        skip_bin_code: false,
-        applies: |krate, _| !WALL_CLOCK_ALLOWED.contains(&krate),
-        run: run_wall_clock,
+        check: Check::Token(TokenRule {
+            skip_test_code: false,
+            skip_bin_code: false,
+            applies: |krate, _| !WALL_CLOCK_ALLOWED.contains(&krate),
+            run: run_wall_clock,
+        }),
+    },
+    Rule {
+        name: "blocking-while-locked",
+        summary: "mutex guard held across a blocking operation",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "guard-across-callback",
+        summary: "mutex guard held across a user-supplied hook",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "lock-cycle",
+        summary: "lock acquisition order admits a deadlock cycle",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "naked-notify",
+        summary: "Condvar notified by a thread that never held the paired mutex",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "panic-path",
+        summary: "public API reaches a documented panic without a `# Panics` contract",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "rng-stream-discipline",
+        summary: "SimRng stream minted outside a declared authority file",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "wall-clock-leak",
+        summary: "wall-clock boundary leaks a raw Instant/SystemTime in a public signature",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "wall-clock-taint",
+        summary: "function transitively reads the wall clock outside the declared boundary",
+        check: Check::Semantic,
+    },
+    Rule {
+        name: "malformed-directive",
+        summary: "unparseable directive",
+        check: Check::Meta,
+    },
+    Rule {
+        name: "stale-allow",
+        summary: "allow directive that suppressed nothing",
+        check: Check::Meta,
+    },
+    Rule {
+        name: "stale-directive",
+        summary: "scoped directive that affected nothing",
+        check: Check::Meta,
     },
 ];
 
-/// Looks a rule up by name (for validating allow directives).
+/// Looks a rule up by name.
 pub fn rule_named(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
@@ -429,6 +527,32 @@ mod tests {
     fn semicolon_inside_array_type_does_not_end_item() {
         let src = "#[cfg(test)]\nconst X: [u8; 4] = [0; 4];\nfn live() {}";
         assert_eq!(regions(src), vec![(1, 2)]);
+    }
+
+    #[test]
+    fn architecture_rule_table_has_a_row_per_rule() {
+        let doc = include_str!("../../../ARCHITECTURE.md");
+        let row = |name: &str| {
+            let start = format!("| `{name}` |");
+            doc.lines().find(|l| l.starts_with(&start))
+        };
+        for rule in RULES.iter().filter(|r| !matches!(r.check, Check::Meta)) {
+            assert!(
+                row(rule.name).is_some(),
+                "ARCHITECTURE.md's rule table has no row for `{}`",
+                rule.name
+            );
+        }
+        // The rows scoped to the deterministic crates name all of them.
+        for name in ["nondeterministic-collection", "unsafe-block"] {
+            let line = row(name).unwrap_or_default();
+            for krate in DETERMINISTIC_CRATES {
+                assert!(
+                    line.contains(&format!("`{krate}`")),
+                    "`{name}` row omits `{krate}`"
+                );
+            }
+        }
     }
 
     #[test]

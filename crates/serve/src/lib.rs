@@ -25,7 +25,7 @@
 //! * [`client`] / [`loadgen`] — the blocking client and the phased load
 //!   generator behind `vrecon loadgen` and `BENCH_serve.json`.
 //! * [`clock`] — the only module allowed to read the wall clock
-//!   (enforced by `vrecon lint`); everything else handles opaque
+//!   (enforced by `vrecon analyze`); everything else handles opaque
 //!   [`clock::Stopwatch`] values.
 
 #![warn(missing_docs)]

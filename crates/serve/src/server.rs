@@ -15,7 +15,8 @@
 //! genuinely new work, never queueing it invisibly.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -281,6 +282,7 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         let _ = write_response(&mut stream, &response);
         finish_request(state, &watch, None, Outcome::None, &response);
         state.active_conns.fetch_sub(1, Ordering::SeqCst);
+        close_unread(&mut stream);
         return;
     }
 
@@ -305,10 +307,37 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
                 let response = Response::text(status, reason, format!("{}\n", error.message()));
                 let _ = write_response(&mut stream, &response);
                 finish_request(state, &watch, None, Outcome::None, &response);
+                close_unread(&mut stream);
             }
         }
     }
     state.active_conns.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Most request bytes [`close_unread`] discards before giving up.
+const DRAIN_CAP: usize = 64 * 1024;
+
+/// Longest [`close_unread`] waits for the client to hang up.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Closes a connection that was answered before its request was (fully)
+/// read. Closing a socket with unread input makes Linux reset the
+/// connection, and the reset can destroy the response before the client
+/// reads it. So the write side is half-closed first (the client sees
+/// EOF after the response), then the unread input is discarded until the
+/// client hangs up, up to [`DRAIN_CAP`] bytes or [`DRAIN_TIMEOUT`].
+fn close_unread(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DRAIN_TIMEOUT));
+    let watch = Stopwatch::start();
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_CAP && !watch.expired(DRAIN_TIMEOUT) {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn finish_request(
