@@ -203,6 +203,64 @@ fn registry_resolution_is_byte_identical_on_golden_scenarios() {
     );
 }
 
+/// A 128-node `ScaleSpec` cell under V-Reconfiguration with commit-aware
+/// placement — the configuration every `scale_bench` cell runs — reproduces
+/// the encoded report whose fnv1a-128 digest is recorded in
+/// `tests/golden/scale_digests.txt`, once under the global load exchange
+/// and once under a four-group staggered one. The figure goldens above run
+/// 8 nodes; this pins report bytes where the engine's sweep sets, not a
+/// whole-cluster walk, decide which nodes each tick visits.
+#[test]
+fn scale_cell_reports_are_byte_identical_under_both_load_info_modes() {
+    use vr_simcore::hash::{fnv1a128, hex128};
+    use vr_workload::scale::ScaleSpec;
+    use vrecon::config::{LoadInfoMode, PlacementMode};
+    use vrecon::report_json::encode_report;
+
+    let spec = ScaleSpec::new(128, 600);
+    let trace = spec.trace(&mut SimRng::seed_from(TRACE_SEED));
+    let mut fresh = String::from(
+        "# fnv1a-128 of the encoded report of ScaleSpec::new(128, 600) under\n\
+         # V-Reconfiguration with commit-aware placement, per load-info mode.\n\
+         # Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_figures`.\n",
+    );
+    for (name, mode) in [
+        ("global", LoadInfoMode::Global),
+        ("staggered-4", LoadInfoMode::Staggered { groups: 4 }),
+    ] {
+        let config = SimConfig::new(spec.cluster(), PolicyKind::VReconfiguration)
+            .with_seed(SCHED_SEED)
+            .with_placement(PlacementMode::CommitAware)
+            .with_load_info(mode);
+        let report = Simulation::new(config).run(&trace);
+        assert!(
+            report.all_completed(),
+            "{name}: the scale cell left jobs unfinished"
+        );
+        let bytes = encode_report(&report);
+        writeln!(fresh, "{name} {}", hex128(fnv1a128(bytes.as_bytes()))).unwrap();
+    }
+
+    let path = golden_path("scale_digests.txt");
+    // vr-lint::allow(env-read, reason = "UPDATE_GOLDEN is an explicit snapshot-regeneration opt-in; without it the test reads no host state")
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &fresh).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden,
+        fresh,
+        "scale report digest drifted from {}",
+        path.display()
+    );
+}
+
 /// The reduced dataset preserves the paper's headline ordering: summed over
 /// the arrival levels, V-R's slowdown beats G-LS, and no single level loses
 /// by more than 1% (the heavily scaled-down traces make individual levels
