@@ -345,14 +345,24 @@ pub enum JobState {
 }
 
 /// Memo of the memory phase a job's progress currently sits in, as
-/// `(phase end, working set)`. Purely derived state: progress is monotonic
+/// `(phase end, working set)`, together with the exact `progress_secs` bits
+/// it was last validated at. Purely derived state: progress is monotonic
 /// and phases are piecewise-constant with strictly increasing ends, so a
 /// cached phase stays the correct answer for every later progress value
-/// below its end. Interior-mutable so `&self` readers can fill it; skipped
-/// by serde (re-derived on demand) and inert under `PartialEq` (it is not
-/// part of the job's value).
+/// below its end, and a read at the validated bits needs no check at all —
+/// not even the rounding of progress to a span. Interior-mutable so `&self`
+/// readers can fill it; skipped by serde (re-derived on demand) and inert
+/// under `PartialEq` (it is not part of the job's value).
 #[derive(Debug, Clone, Default)]
-pub struct PhaseMemo(std::cell::Cell<Option<(SimSpan, Bytes)>>);
+pub struct PhaseMemo(std::cell::Cell<Option<ValidatedPhase>>);
+
+/// A [`PhaseMemo`] entry.
+#[derive(Debug, Clone, Copy)]
+struct ValidatedPhase {
+    progress_bits: u64,
+    until: SimSpan,
+    working_set: Bytes,
+}
 
 impl PartialEq for PhaseMemo {
     fn eq(&self, _: &Self) -> bool {
@@ -440,15 +450,22 @@ impl RunningJob {
 
     /// The memoised `(phase end, working set)` for the current progress.
     fn current_phase(&self) -> (SimSpan, Bytes) {
-        let progress = self.progress();
-        if let Some((until, ws)) = self.phase_memo.0.get() {
-            if progress < until {
-                return (until, ws);
-            }
+        let progress_bits = self.progress_secs.to_bits();
+        let memo = self.phase_memo.0.get();
+        if let Some(m) = memo.filter(|m| m.progress_bits == progress_bits) {
+            return (m.until, m.working_set);
         }
-        let phase = self.spec.memory.phase_at(progress);
-        self.phase_memo.0.set(Some(phase));
-        phase
+        let progress = self.progress();
+        let (until, working_set) = match memo {
+            Some(m) if progress < m.until => (m.until, m.working_set),
+            _ => self.spec.memory.phase_at(progress),
+        };
+        self.phase_memo.0.set(Some(ValidatedPhase {
+            progress_bits,
+            until,
+            working_set,
+        }));
+        (until, working_set)
     }
 
     /// The paper's slowdown metric for this job.

@@ -4,8 +4,11 @@
 //! the last touch point to "now": within a segment the job population,
 //! working sets, and therefore processor-sharing rates are constant, so
 //! progress is linear; segments end at job completions or memory-phase
-//! boundaries. This makes the cluster simulation O(events) instead of
-//! O(clock ticks).
+//! boundaries. A node with no resident jobs costs nothing between the
+//! driver's calls, but the driver advances every active node (one hosting
+//! work) at each load-exchange tick, so a run costs O(events + active
+//! nodes × exchange ticks), plus the driver's O(nodes) skew pass per gauge
+//! sample — not O(events) alone.
 //!
 //! The driver protocol is: call [`Workstation::advance_to`] (or any mutator,
 //! which advances internally) whenever the node is touched, then ask
@@ -529,12 +532,14 @@ impl Workstation {
             }
             drop(scratch);
             remaining -= dt;
-            // Collect completions at the segment end.
-            let completion_time = now - SimSpan::from_secs_f64(remaining.max(0.0));
+            // Collect completions at the segment end. Most segments end at a
+            // phase boundary or at `now` with nothing finished, so the end
+            // instant is only minted for a job that completes.
             let mut collected = 0usize;
             let mut i = 0;
             while i < self.jobs.len() {
                 if self.jobs[i].remaining_secs() <= EPS {
+                    let completion_time = now - SimSpan::from_secs_f64(remaining.max(0.0));
                     let mut done = self.jobs.swap_remove(i);
                     done.state = JobState::Completed;
                     done.completed_at = Some(completion_time);

@@ -61,7 +61,67 @@ fn node(kappa: f64) -> Workstation {
     )
 }
 
+/// A job whose working set steps through up to five phases, each boundary
+/// a fraction of its CPU work.
+fn phased_job_strategy() -> impl Strategy<Value = RunningJob> {
+    (
+        5.0f64..300.0,
+        4u64..120,
+        prop::collection::vec((0.02f64..0.98, 4u64..120), 0..5),
+    )
+        .prop_map(|(work_secs, last_mb, cuts)| {
+            let mut phases: Vec<(SimSpan, Bytes)> = cuts
+                .into_iter()
+                .map(|(f, mb)| (SimSpan::from_secs_f64(work_secs * f), Bytes::from_mb(mb)))
+                .collect();
+            phases.sort_by_key(|&(until, _)| until);
+            phases.dedup_by_key(|&mut (until, _)| until);
+            phases.push((SimSpan::MAX, Bytes::from_mb(last_mb)));
+            RunningJob::new(JobSpec {
+                id: JobId(0),
+                name: "phased".to_owned(),
+                class: JobClass::CpuIntensive,
+                submit: SimTime::ZERO,
+                cpu_work: SimSpan::from_secs_f64(work_secs),
+                memory: MemoryProfile::from_phases(phases).expect("sorted, deduplicated"),
+                io_rate: 0.0,
+                malleable: None,
+            })
+        })
+}
+
 proptest! {
+    /// The phase memo is invisible: after arbitrary `advance_to` steps,
+    /// every resident job's working set and next phase boundary equal a
+    /// memo-free `phase_at` lookup of its progress, on the first read and
+    /// again on a second read at unchanged progress (the memo's exact-bits
+    /// path).
+    #[test]
+    fn phase_memo_matches_fresh_lookup(
+        jobs in prop::collection::vec(phased_job_strategy(), 1..8),
+        steps in prop::collection::vec(1u64..40_000_000, 1..12),
+        kappa in 0.5f64..8.0,
+    ) {
+        let mut node = node(kappa);
+        for (i, mut job) in jobs.into_iter().enumerate() {
+            job.spec.id = JobId(i as u64);
+            node.try_admit(job, SimTime::ZERO).unwrap();
+        }
+        let mut t = 0;
+        for step in steps {
+            t += step;
+            node.advance_to(SimTime::from_micros(t));
+            for job in node.jobs() {
+                let (until, working_set) = job.spec.memory.phase_at(job.progress());
+                let boundary = (until != SimSpan::MAX).then_some(until);
+                for _ in 0..2 {
+                    prop_assert_eq!(job.current_working_set(), working_set);
+                    prop_assert_eq!(job.next_phase_boundary(), boundary);
+                }
+            }
+        }
+    }
+
     /// Each resident job's breakdown always sums to its wall-clock
     /// residency, regardless of load, phases, or fault pressure.
     #[test]

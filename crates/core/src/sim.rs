@@ -41,7 +41,7 @@
 //!   qualifies, the blocking problem is detected and (under
 //!   V-Reconfiguration) the reconfiguration routine runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
 use vr_cluster::loadinfo::LoadIndex;
@@ -50,6 +50,7 @@ use vr_cluster::units::Bytes;
 use vr_faults::FaultInjector;
 use vr_metrics::sampler::ClusterGauges;
 use vr_metrics::summary::WorkloadSummary;
+use vr_simcore::bitset::BitSet;
 use vr_simcore::engine::{Engine, RunStats, Scheduler, World};
 use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
@@ -305,10 +306,10 @@ pub(crate) struct ClusterWorld {
     /// `blocking_detections` counts blocking episodes (state changes), not
     /// scan ticks.
     blocked_nodes: Vec<bool>,
-    /// Node ids whose `blocked_nodes` bit is up, mirrored as an ordered set
-    /// so the overload scan can revisit flagged nodes without walking the
-    /// whole slab.
-    blocked_set: BTreeSet<u32>,
+    /// Node ids whose `blocked_nodes` bit is up, mirrored as a sweep set
+    /// so the overload scan can revisit flagged nodes through
+    /// [`BitSet::union`] with the active set.
+    blocked_set: BitSet,
     /// Nodes that currently host work (resident jobs or an undrained
     /// completion outbox). Everything outside this set is settled: its load
     /// cannot change until the scheduler touches it again (advancing an
@@ -316,17 +317,22 @@ pub(crate) struct ClusterWorld {
     /// advance/collect/refresh sweeps walk this set instead of every
     /// workstation — the O(active) hot path that makes cluster size a free
     /// parameter. Lazily pruned after each index refresh.
-    active: BTreeSet<u32>,
+    ///
+    /// All four sweep sets (`active`, `ripe`, `dirty`, `blocked_set`) are
+    /// dense [`BitSet`]s sized to the cluster once, in
+    /// [`ClusterWorld::new`]: O(1) insert, remove and membership, and
+    /// ascending iteration, so every sweep visits nodes in node order.
+    active: BitSet,
     /// Nodes whose completion outbox is non-empty: the only workstations
     /// [`ClusterWorld::collect_completions`] must visit. Without this
     /// mirror every wake-up scans the whole active set — O(active) per
     /// event, which at 60 % utilization is O(cluster) and dominates the
     /// wall clock beyond ~1k nodes.
-    ripe: BTreeSet<u32>,
-    /// Nodes whose observable state changed without hosting work (flag
-    /// flips: reserved, up, stale entries awaiting recapture). Drained into
-    /// the next index refresh.
-    dirty: BTreeSet<u32>,
+    ripe: BitSet,
+    /// Nodes whose observable state may have changed since the last index
+    /// refresh (advances, admissions and removals, flag flips, stale
+    /// entries awaiting recapture). Drained into the next index refresh.
+    dirty: BitSet,
     /// Exchange ticks so far, driving the staggered stale-load schedule
     /// ([`LoadInfoMode::Staggered`]).
     exchange_ticks: u64,
@@ -393,10 +399,10 @@ impl ClusterWorld {
                 .map(|plan| FaultInjector::new(plan, config.seed)),
             stalled: vec![false; node_count],
             blocked_nodes: vec![false; node_count],
-            blocked_set: BTreeSet::new(),
-            active: BTreeSet::new(),
-            ripe: BTreeSet::new(),
-            dirty: BTreeSet::new(),
+            blocked_set: BitSet::new(node_count),
+            active: BitSet::new(node_count),
+            ripe: BitSet::new(node_count),
+            dirty: BitSet::new(node_count),
             exchange_ticks: 0,
         };
         world.index.refresh(world.nodes.iter(), SimTime::ZERO);
@@ -481,17 +487,27 @@ impl ClusterWorld {
         if blocked {
             self.blocked_set.insert(i as u32);
         } else {
-            self.blocked_set.remove(&(i as u32));
+            self.blocked_set.remove(i as u32);
         }
     }
 
     /// Advances every node that hosts work to `now`. Settled nodes need no
     /// advance: with no resident jobs there is nothing to integrate, so
     /// their counters and demand are unchanged by construction.
+    ///
+    /// A node already at `now` is skipped outright. Whatever advanced it
+    /// there — an earlier sweep at this instant (the Sample tick follows
+    /// the Exchange at every whole second), a wake-up, or a mutation — has
+    /// already put it in `dirty` (and in `ripe` if it completed work), so
+    /// re-inserting it would change nothing but the cost.
     fn advance_active(&mut self, now: SimTime) {
-        for &i in &self.active {
-            self.nodes[i as usize].advance_to(now);
-            if !self.nodes[i as usize].pending_completions().is_empty() {
+        for i in &self.active {
+            let node = &mut self.nodes[i as usize];
+            if node.last_update() == now {
+                continue;
+            }
+            node.advance_to(now);
+            if !node.pending_completions().is_empty() {
                 self.ripe.insert(i);
             }
             // The advance may have moved the node's load; queue it for
@@ -520,7 +536,7 @@ impl ClusterWorld {
     fn refresh_index_incremental(&mut self, now: SimTime, is_stale: impl Fn(NodeId) -> bool) {
         let mut targets: Vec<NodeId> = Vec::new();
         let mut kept: Vec<u32> = Vec::new();
-        for &i in &self.dirty {
+        for i in &self.dirty {
             let id = NodeId(i);
             if is_stale(id) {
                 kept.push(i);
@@ -537,7 +553,7 @@ impl ClusterWorld {
         for id in targets {
             let n = &self.nodes[id.0 as usize];
             if n.active_jobs() == 0 && n.pending_completions().is_empty() {
-                self.active.remove(&id.0);
+                self.active.remove(id.0);
             }
         }
         self.dirty.extend(kept);
@@ -562,7 +578,7 @@ impl ClusterWorld {
         );
         for (i, n) in self.nodes.iter().enumerate() {
             debug_assert!(
-                self.active.contains(&(i as u32))
+                self.active.contains(i as u32)
                     || (n.active_jobs() == 0 && n.pending_completions().is_empty()),
                 "node {i} hosts work but is not in the active set"
             );
@@ -674,14 +690,15 @@ impl ClusterWorld {
     /// full-cluster sweep.
     fn collect_completions(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         debug_assert!(
-            self.active.iter().all(|&i| self.ripe.contains(&i)
+            self.active.iter().all(|i| self.ripe.contains(i)
                 || self.nodes[i as usize].pending_completions().is_empty()),
             "active node with uncollected completions missing from the ripe set"
         );
         let mut any = false;
         // Ascending node order, same as the old scan over the whole active
         // set — only the nodes with a non-empty outbox are visited.
-        let candidates: Vec<u32> = std::mem::take(&mut self.ripe).into_iter().collect();
+        let candidates: Vec<u32> = self.ripe.iter().collect();
+        self.ripe.clear();
         for i in candidates {
             let i = i as usize;
             let node_id = self.nodes[i].id();
@@ -913,7 +930,7 @@ impl ClusterWorld {
         // idle or lightly loaded large cluster the whole scan is O(active)
         // instead of O(nodes). Ascending node order, like the old walk.
         let mut visit: Vec<usize> = Vec::new();
-        for &i in self.active.union(&self.blocked_set) {
+        for i in self.active.union(&self.blocked_set) {
             let i = i as usize;
             if self.blocked_nodes[i] {
                 visit.push(i);
@@ -1052,14 +1069,19 @@ impl ClusterWorld {
     /// free a slot; otherwise it may grow one under-wide job per node
     /// with free slots. Nodes are visited in ascending id order and all
     /// are already advanced to `now` by the index refresh at the top of
-    /// the Exchange handler.
+    /// the Exchange handler. Only nodes hosting jobs can be resized, and
+    /// every such node is in the active sweep set, so the walk covers that
+    /// set rather than the whole cluster; each visit mutates only its own
+    /// node, so the visit order and outcome match a full walk.
     fn resize_scan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         if !self.plugin.resizes() {
             return;
         }
         let pressure = !self.pending.is_empty();
         let mut any = false;
-        for i in 0..self.nodes.len() {
+        let candidates: Vec<u32> = self.active.iter().collect();
+        for i in candidates {
+            let i = i as usize;
             if self.nodes[i].active_jobs() == 0 {
                 continue;
             }
@@ -1265,9 +1287,8 @@ impl ClusterWorld {
         // set covers every such node and iterates in the same ascending
         // order as the old full walk, so the first-maximum tie-break is
         // unchanged.
-        for &i in &self.active {
-            let i = i as usize;
-            let node = &self.nodes[i];
+        for i in &self.active {
+            let node = &self.nodes[i as usize];
             if node.is_reserved() || !node.is_up() {
                 continue;
             }
@@ -1688,7 +1709,7 @@ impl ClusterWorld {
             && self.suspended.is_empty()
             // Any node hosting a job is in the active sweep set, so the
             // cluster-wide drain check only needs to look there.
-            && self.active.iter().all(|&i| self.nodes[i as usize].active_jobs() == 0)
+            && self.active.iter().all(|i| self.nodes[i as usize].active_jobs() == 0)
         {
             self.done = true;
             self.finished_at = now;

@@ -67,21 +67,23 @@ impl ClusterGauges {
         let mut idle = Bytes::ZERO;
         let mut physical_idle = Bytes::ZERO;
         let mut reserved = 0usize;
-        let mut active_non_reserved = Vec::new();
+        // The skew accumulates in the node pass itself: the same Welford
+        // pushes, in the same order, that `balance_skew` makes over the
+        // collected counts, so the same bits without a per-sample buffer.
+        let mut skew = OnlineStats::new();
         for node in nodes {
             physical_idle += node.idle_memory();
             if node.is_reserved() {
                 reserved += 1;
             } else {
                 idle += node.idle_memory();
-                active_non_reserved.push(node.active_jobs());
+                skew.push(node.active_jobs() as f64);
             }
         }
         self.idle_memory_mb.push(now, idle.as_mb_f64());
         self.physical_idle_memory_mb
             .push(now, physical_idle.as_mb_f64());
-        self.balance_skew
-            .push(now, balance_skew(&active_non_reserved));
+        self.balance_skew.push(now, skew.population_std_dev());
         self.reserved_nodes.push(now, reserved as f64);
         self.pending_jobs.push(now, pending_jobs as f64);
     }
@@ -168,6 +170,34 @@ mod tests {
         assert!((g.avg_balance_skew() - 1.0).abs() < 1e-12);
         assert_eq!(g.reserved_nodes.sample_average(), 1.0);
         assert_eq!(g.pending_jobs.sample_average(), 5.0);
+    }
+
+    #[test]
+    fn sampled_skew_is_bit_identical_to_balance_skew() {
+        // Uneven counts whose variance is not a round number, with reserved
+        // nodes interleaved, so any change to which counts are pushed, or
+        // in what order, shows in the low bits.
+        let nodes = [
+            node(0, 3, false),
+            node(1, 0, false),
+            node(2, 5, true),
+            node(3, 1, false),
+            node(4, 7, false),
+            node(5, 2, true),
+            node(6, 4, false),
+            node(7, 11, false),
+            node(8, 6, false),
+        ];
+        let counts: Vec<usize> = nodes
+            .iter()
+            .filter(|n| !n.is_reserved())
+            .map(|n| n.active_jobs())
+            .collect();
+        assert_eq!(counts, [3, 0, 1, 7, 4, 11, 6]);
+        let mut g = ClusterGauges::new();
+        g.sample(nodes.iter(), 0, SimTime::from_secs(1));
+        let (_, sampled) = g.balance_skew.last().unwrap();
+        assert_eq!(sampled.to_bits(), balance_skew(&counts).to_bits());
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`jsonio`] — dependency-free JSON document model with lossless number
 //!   round-trips, backing the result cache and sweep telemetry files.
 //! * [`hash`] — stable FNV-1a 128-bit content hashing for cache keys.
+//! * [`bitset`] — dense [`BitSet`] id sets with ascending iteration, the
+//!   simulation driver's per-node sweep sets.
 //!
 //! Determinism is the load-bearing property: identical seeds produce
 //! identical event orders, draws, and therefore identical simulation reports.
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bitset;
 pub mod engine;
 pub mod event;
 pub mod hash;
@@ -60,6 +63,7 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
+pub use bitset::BitSet;
 pub use engine::{Engine, EventHook, HookChain, RunStats, Scheduler, World};
 pub use event::{EventHandle, EventQueue};
 pub use hash::{fnv1a128, hex128, Fnv128};
