@@ -3,8 +3,9 @@
 //! A scaled-down version of the paper's group-1 experiment (cluster 1
 //! truncated to 8 workstations, shortened SPEC traces) is replayed under
 //! G-Loadsharing and V-Reconfiguration and compared against checked-in CSV
-//! snapshots; every policy family's encoded report is pinned by digest, and
-//! the blocking detector's counters by exact value. In debug builds every
+//! snapshots; every policy family's encoded report is pinned by digest, as
+//! are G-LS and V-R under thrashing protection and network RAM, and the
+//! blocking detector's counters by exact value. In debug builds every
 //! read of a node's cached memory demand is re-derived from its resident
 //! jobs, so this matrix also checks the incremental detector against a
 //! full rescan. The runs are deterministic, so drift here means scheduler
@@ -42,6 +43,31 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
+}
+
+/// Compares a freshly rendered digest file with `tests/golden/<name>` line
+/// by line, or rewrites the golden file when `UPDATE_GOLDEN` is set.
+fn assert_digests_match(name: &str, fresh: &str) {
+    let path = golden_path(name);
+    // vr-lint::allow(env-read, reason = "UPDATE_GOLDEN is an explicit snapshot-regeneration opt-in; without it the test reads no host state")
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, fresh).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    for (g, f) in golden.lines().zip(fresh.lines()) {
+        assert_eq!(g, f, "report digest drifted from {}", path.display());
+    }
+    assert_eq!(
+        golden.lines().count(),
+        fresh.lines().count(),
+        "{name}: digest row count changed"
+    );
 }
 
 fn reduced_cluster() -> ClusterParams {
@@ -181,26 +207,7 @@ fn registry_resolution_is_byte_identical_on_golden_scenarios() {
         writeln!(fresh, "{name} {}", hex128(fnv1a128(report.as_bytes()))).unwrap();
     }
 
-    let path = golden_path("policy_digests.txt");
-    // vr-lint::allow(env-read, reason = "UPDATE_GOLDEN is an explicit snapshot-regeneration opt-in; without it the test reads no host state")
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &fresh).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    for (g, f) in golden.lines().zip(fresh.lines()) {
-        assert_eq!(g, f, "policy report digest drifted from {}", path.display());
-    }
-    assert_eq!(
-        golden.lines().count(),
-        fresh.lines().count(),
-        "policy digest row count changed"
-    );
+    assert_digests_match("policy_digests.txt", &fresh);
 }
 
 /// A 128-node `ScaleSpec` cell under V-Reconfiguration with commit-aware
@@ -241,24 +248,82 @@ fn scale_cell_reports_are_byte_identical_under_both_load_info_modes() {
         writeln!(fresh, "{name} {}", hex128(fnv1a128(bytes.as_bytes()))).unwrap();
     }
 
-    let path = golden_path("scale_digests.txt");
-    // vr-lint::allow(env-read, reason = "UPDATE_GOLDEN is an explicit snapshot-regeneration opt-in; without it the test reads no host state")
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &fresh).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        golden,
-        fresh,
-        "scale report digest drifted from {}",
-        path.display()
+    assert_digests_match("scale_digests.txt", &fresh);
+}
+
+/// Thrashing protection and network RAM both rewrite a job's stall factor
+/// before its progress rate is taken from it. G-LS and V-R on the reduced
+/// cluster reproduce the encoded reports whose fnv1a-128 digests are
+/// recorded in `tests/golden/rate_digests.txt`, plain and under each
+/// protection heuristic, network RAM, and protection plus network RAM.
+/// Every variant must also change the report against the plain run, so a
+/// rate branch that silently stops running fails here instead of matching
+/// a digest it never reaches.
+#[test]
+fn rate_variant_reports_are_byte_identical_and_each_variant_counts() {
+    use vr_cluster::protection::ThrashingProtection;
+    use vr_simcore::hash::{fnv1a128, hex128};
+    use vrecon::plugin::entry;
+    use vrecon::report_json::encode_report;
+
+    // The Light golden trace is the smallest SPEC trace the figures use, and
+    // every variant below already pages differently on it.
+    let trace = spec_trace_scaled(
+        TraceLevel::Light,
+        &mut SimRng::seed_from(TRACE_SEED),
+        LIFETIME_SCALE,
     );
+    let variants = [
+        ("plain", ThrashingProtection::Off, false),
+        (
+            "protect-largest",
+            ThrashingProtection::ProtectLargest,
+            false,
+        ),
+        (
+            "protect-shortest",
+            ThrashingProtection::ProtectShortestRemaining,
+            false,
+        ),
+        ("netram", ThrashingProtection::Off, true),
+        (
+            "protect-largest+netram",
+            ThrashingProtection::ProtectLargest,
+            true,
+        ),
+    ];
+    let mut fresh = String::from(
+        "# fnv1a-128 of the encoded report per policy and rate variant on the\n\
+         # reduced Light trace.\n\
+         # Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_figures`.\n",
+    );
+    for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
+        let mut plain = None;
+        for (variant, protection, netram) in variants {
+            let mut config = SimConfig::new(reduced_cluster(), policy).with_seed(SCHED_SEED);
+            for node in &mut config.cluster.nodes {
+                node.protection = protection;
+            }
+            if netram {
+                config = config.with_network_ram();
+            }
+            let report = Simulation::new(config).run(&trace);
+            assert!(
+                report.all_completed(),
+                "{policy} {variant}: left jobs unfinished"
+            );
+            let digest = hex128(fnv1a128(encode_report(&report).as_bytes()));
+            match &plain {
+                None => plain = Some(digest.clone()),
+                Some(base) => assert_ne!(
+                    &digest, base,
+                    "{policy} {variant}: the report equals the plain run's"
+                ),
+            }
+            writeln!(fresh, "{} {variant} {digest}", entry(policy).name).unwrap();
+        }
+    }
+    assert_digests_match("rate_digests.txt", &fresh);
 }
 
 /// The reduced dataset preserves the paper's headline ordering: summed over
