@@ -1,11 +1,12 @@
 //! `engine_bench` — engine micro-bench suite behind `BENCH_engine.json`.
 //!
-//! Replays the five `vrecon trace spec --level N` scenarios (cluster 1,
-//! V-Reconfiguration, scheduler seed 7, trace seed 42 — identical to the
-//! CLI defaults) and measures raw engine throughput: each level is timed
-//! as the best of three untraced [`Simulation::run`] calls, then traced
-//! once to collect the deterministic per-kind record counts and scheduler
-//! counters.
+//! Replays seven rows: the five `vrecon trace spec --level N` scenarios
+//! (cluster 1, V-Reconfiguration, scheduler seed 7, trace seed 42 —
+//! identical to the CLI defaults), then the malleable and fractional
+//! families on the level-3 (Normal) trace. It measures raw engine
+//! throughput: each row is timed as the best of three untraced
+//! [`Simulation::run`] calls, then traced once to collect the
+//! deterministic per-kind record counts and scheduler counters.
 //!
 //! Modes:
 //!

@@ -17,12 +17,17 @@
 //! | `experiments` | everything above, as markdown |
 //!
 //! Beyond the paper's evaluation, `engine_bench` replays the five trace
-//! levels end-to-end into the gated `BENCH_engine.json` baseline, and
-//! `scale_bench` measures a nodes × jobs grid (up to 10,000 nodes /
-//! 1,000,000 jobs) into the gated `BENCH_scale.json` baseline.
+//! levels under V-Reconfiguration, plus the malleable and fractional
+//! families on the Normal trace, into the seven rows of the gated
+//! `BENCH_engine.json` baseline; `scale_bench` measures a nodes × jobs grid
+//! (up to 10,000 nodes / 1,000,000 jobs) into the gated `BENCH_scale.json`
+//! baseline; and `robustness` sweeps fault intensities with the invariant
+//! auditor on.
 //!
-//! The Criterion benches under `benches/` quantify the overhead claims
-//! ("the adaptive process causes little additional overhead").
+//! The overhead claim ("the adaptive process causes little additional
+//! overhead") rests on the per-scenario `wall_secs` of both policies in
+//! the `experiments` sweep record and on the root crate's
+//! `claim_adaptive_process_is_cheap` test.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -31,10 +31,11 @@
 //! remote-backing stall scale is re-derived at every snapshot refresh,
 //! mirroring the engine's pass), thrashing protection (the shared
 //! redistribution formula is applied to independently computed raw stalls,
-//! in the same operation order as the engine's `fill_rates`), and the
-//! plugin families — malleable resize directives are restated from the
-//! policy's documented selection rules, and fractional slot caps are
-//! re-derived from the parameter bag at construction.
+//! in the same operation order as the engine's rate pass,
+//! `Workstation::segment_rates`), and the plugin families — malleable
+//! resize directives are restated from the policy's documented selection
+//! rules, and fractional slot caps are re-derived from the parameter bag at
+//! construction.
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
 use vr_cluster::memory::FaultModel;
@@ -213,10 +214,10 @@ impl ONode {
     /// (`s_j = κ_eff · w_j / w̄`, κ_eff linear or quadratic in the relative
     /// overflow), restated independently of `FaultModel::stall_factors`.
     ///
-    /// Operation order mirrors the engine's `fill_rates` exactly: raw
-    /// per-job stalls first, then the thrashing-protection redistribution
-    /// over the raw values, then the network-RAM scale over the result —
-    /// so the f64 outputs stay bit-identical.
+    /// Operation order mirrors the engine's `Workstation::segment_rates`
+    /// exactly: raw per-job stalls first, then the thrashing-protection
+    /// redistribution over the raw values, then the network-RAM scale over
+    /// the result — so the f64 outputs stay bit-identical.
     fn stall_factors(&self) -> Vec<f64> {
         let k = self.jobs.len();
         if k == 0 {

@@ -69,28 +69,15 @@ impl CpuParams {
     /// The returned rates satisfy `Σ rᵢ·(1+sᵢ) ≤ speed` (the CPU cannot be
     /// more than fully used).
     pub fn progress_rates(&self, stall_factors: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.progress_rates_into(stall_factors, &mut out);
-        out
-    }
-
-    /// [`CpuParams::progress_rates`] into a caller-owned buffer (cleared
-    /// first), so the simulation hot path can reuse its allocation. The
-    /// arithmetic is identical term for term.
-    pub fn progress_rates_into(&self, stall_factors: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        let k = stall_factors.len();
-        if k == 0 {
-            return;
-        }
-        let share = self.progress_share(k);
-        out.extend(stall_factors.iter().map(|s| share / (1.0 + s)));
+        let share = self.progress_share(stall_factors.len());
+        stall_factors.iter().map(|s| share / (1.0 + s)).collect()
     }
 
     /// The per-job CPU share `speed · ε(k) / k` (CPU seconds per wall second
     /// before stalls) when `k` jobs are multiprogrammed — the job-independent
-    /// scalar of [`CpuParams::progress_rates`], exposed so fused callers can
-    /// evaluate `share / (1 + sᵢ)` per job without a separate rate pass.
+    /// scalar of [`CpuParams::progress_rates`]. A workstation's rate pass
+    /// takes it over the sum of its jobs' slot widths and gives a width-`w`
+    /// job `w` shares.
     pub fn progress_share(&self, k: usize) -> f64 {
         self.speed * self.efficiency(k) / k as f64
     }

@@ -217,33 +217,6 @@ impl LoadIndex {
         self.refreshed_at = now;
     }
 
-    /// Refreshes the index but keeps the *old* entry for every node in
-    /// `stale` — modelling a load exchange in which those nodes' reports
-    /// were lost in transit. A stale node with no previous entry gets a
-    /// fresh capture (there is nothing older to keep).
-    pub fn refresh_except<'a>(
-        &mut self,
-        nodes: impl IntoIterator<Item = &'a Workstation>,
-        now: SimTime,
-        stale: &[NodeId],
-    ) {
-        let old = std::mem::take(&mut self.entries);
-        self.entries = nodes
-            .into_iter()
-            .map(|node| {
-                if stale.contains(&node.id()) {
-                    if let Ok(i) = old.binary_search_by_key(&node.id(), |e| e.node) {
-                        return old[i];
-                    }
-                }
-                NodeLoad::capture(node)
-            })
-            .collect();
-        self.entries.sort_by_key(|e| e.node);
-        self.refreshed_at = now;
-        self.recompute_derived();
-    }
-
     /// When the index was last refreshed.
     pub fn refreshed_at(&self) -> SimTime {
         self.refreshed_at
@@ -291,69 +264,27 @@ impl LoadIndex {
         Bytes::new(self.cached_user_total.as_u64() / self.entries.len() as u64)
     }
 
-    /// The best destination for an ordinary submission or migration: a
-    /// non-reserved node with a free slot and idle memory, preferring the
-    /// fewest active jobs, then the most idle memory.
-    ///
-    /// `exclude` filters out the source node.
-    pub fn best_destination(&self, exclude: Option<NodeId>) -> Option<&NodeLoad> {
-        self.best_destination_for(Bytes::ZERO, exclude)
-    }
-
-    /// Like [`LoadIndex::best_destination`], additionally requiring at
-    /// least `demand` idle memory — the paper's qualification for placing a
-    /// job with a known working set. Resolved against the ordered placement
-    /// index instead of a linear scan: within one active-jobs bucket
-    /// entries are sorted by descending idle memory, so the bucket head
-    /// either covers the demand or the whole bucket can be skipped. At most
-    /// two probes (the head may be `exclude`) plus one range seek per
-    /// bucket, and the bucket count is bounded by the per-node slot limit,
-    /// so a query is O(slots · log n).
-    ///
-    /// Equivalent to
+    /// The best destination for a job needing `demand` idle memory — a
+    /// submission or a migration: among entries that accept submissions,
+    /// report at least `demand` idle memory, are not `exclude` (the source
+    /// node) and pass the caller's `accept` predicate, the one with the
+    /// fewest active jobs, then the most idle memory, then the lowest id.
+    /// `accept` carries checks that live outside the index, such as
+    /// committed capacity; the paper's plain rule is `|_| true`. For a pure
+    /// `accept` this equals
     /// `iter().filter(|e| Some(e.node) != exclude && e.accepts_submissions()
-    /// && e.idle_memory >= demand).min_by_key(|e| (e.active_jobs,
-    /// Reverse(e.idle_memory), e.node))`.
-    pub fn best_destination_for(
-        &self,
-        demand: Bytes,
-        exclude: Option<NodeId>,
-    ) -> Option<&NodeLoad> {
-        let mut from = Bound::Unbounded;
-        loop {
-            let mut bucket = self.placement.range((from, Bound::Unbounded));
-            let &(jobs, Reverse(idle), node) = bucket.next()?;
-            if idle >= demand {
-                if Some(node) != exclude {
-                    return self.get(node);
-                }
-                // The bucket head is the excluded node; the next entry in
-                // the same bucket (same job count, next-best idle memory)
-                // wins if it still covers the demand.
-                if let Some(&(j2, Reverse(i2), n2)) = bucket.next() {
-                    if j2 == jobs && i2 >= demand {
-                        return self.get(n2);
-                    }
-                }
-            }
-            // Every remaining entry in this bucket has less idle memory
-            // than one we already rejected: seek past the bucket. Accepting
-            // entries always have non-zero idle memory, so this sentinel
-            // sorts strictly after all of them.
-            from = Bound::Excluded((jobs, Reverse(Bytes::ZERO), NodeId(u32::MAX)));
-        }
-    }
-
-    /// [`LoadIndex::best_destination_for`] with an extra caller-side
-    /// acceptance predicate (e.g. committed-capacity checks that live
-    /// outside the index). Entries are offered to `accept` in placement
-    /// order; within a bucket the walk stops as soon as *reported* idle
-    /// memory drops below `demand` — reported idle is an upper bound on any
-    /// caller-adjusted capacity, so no skipped entry could have been
-    /// accepted on memory the index does not know about being *larger*.
-    /// Worst case degenerates to a full scan only when most entries report
-    /// enough idle memory yet fail `accept`; the saturated-cluster case
-    /// (nothing fits) costs one probe per distinct job-count bucket.
+    /// && e.idle_memory >= demand && accept(e)).min_by_key(|e|
+    /// (e.active_jobs, Reverse(e.idle_memory), e.node))`.
+    ///
+    /// Entries are offered to `accept` in placement order. Within one
+    /// active-jobs bucket they are sorted by descending reported idle
+    /// memory, so the walk leaves a bucket as soon as reported idle drops
+    /// below `demand`: no later entry of the bucket can pass. With
+    /// `|_| true` a query costs at most two probes plus one range seek per
+    /// bucket, and the bucket count is bounded by the per-node slot limit,
+    /// so it is O(slots · log n). It degenerates to a full scan only when
+    /// most entries report enough idle memory yet fail `accept`; the
+    /// saturated-cluster case (nothing fits) costs one probe per bucket.
     pub fn best_destination_where(
         &self,
         demand: Bytes,
@@ -389,39 +320,28 @@ impl LoadIndex {
                     }
                 }
             }
+            // Every remaining entry in this bucket reports less idle memory
+            // than the demand: seek past the bucket. Accepting entries
+            // always have non-zero idle memory, so this sentinel sorts
+            // strictly after all of them.
             from = Bound::Excluded((jobs, Reverse(Bytes::ZERO), NodeId(u32::MAX)));
         }
     }
 
-    /// The paper's `reserve_a_workstation()` choice: the most lightly loaded
-    /// non-reserved workstation with the largest idle memory (in a
-    /// heterogeneous cluster this also favours large-memory nodes, §2.3).
-    pub fn reservation_candidate(&self) -> Option<&NodeLoad> {
-        let &(_, _, Reverse(node)) = self.by_idle.iter().next_back()?;
-        self.get(node)
-    }
-
     /// All up, non-reserved entries in descending reservation-preference
     /// order (most idle memory, then fewest active jobs, then lowest id).
-    /// Callers apply live-state filters and take the first hit, which
-    /// equals a `max_by_key` over the filtered set; feasibility probes can
-    /// early-exit as soon as idle memory drops below the demanded working
-    /// set.
+    /// The first entry is the paper's `reserve_a_workstation()` choice: the
+    /// most lightly loaded non-reserved workstation with the largest idle
+    /// memory (in a heterogeneous cluster this favours large-memory nodes,
+    /// §2.3). Callers apply live-state filters and take the first hit,
+    /// which equals a `max_by_key` over the filtered set; feasibility
+    /// probes can early-exit as soon as idle memory drops below the
+    /// demanded working set.
     pub fn by_idle_desc(&self) -> impl Iterator<Item = &NodeLoad> {
         self.by_idle
             .iter()
             .rev()
             .filter_map(|&(_, _, Reverse(node))| self.get(node))
-    }
-
-    /// All accepting entries in placement-preference order (fewest active
-    /// jobs, then most idle memory, then lowest id — best destination
-    /// first). The first entry surviving a caller-side filter equals a
-    /// `min_by_key` over the filtered set.
-    pub fn placement_order(&self) -> impl Iterator<Item = &NodeLoad> {
-        self.placement
-            .iter()
-            .filter_map(|&(_, _, node)| self.get(node))
     }
 }
 
@@ -508,11 +428,9 @@ mod tests {
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
         // Nodes 1 and 2 tie on job count and idle memory; ties break by id.
-        assert_eq!(index.best_destination(None).unwrap().node, NodeId(1));
-        assert_eq!(
-            index.best_destination(Some(NodeId(1))).unwrap().node,
-            NodeId(2)
-        );
+        let best = |exclude| index.best_destination_where(Bytes::ZERO, exclude, |_| true);
+        assert_eq!(best(None).unwrap().node, NodeId(1));
+        assert_eq!(best(Some(NodeId(1))).unwrap().node, NodeId(2));
     }
 
     #[test]
@@ -526,7 +444,9 @@ mod tests {
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
         // No slot / no idle memory / reserved: nothing qualifies.
-        assert!(index.best_destination(None).is_none());
+        assert!(index
+            .best_destination_where(Bytes::ZERO, None, |_| true)
+            .is_none());
     }
 
     #[test]
@@ -538,7 +458,7 @@ mod tests {
         ];
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
-        assert_eq!(index.reservation_candidate().unwrap().node, NodeId(1));
+        assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -548,7 +468,7 @@ mod tests {
         let nodes = [best, node_with_jobs(1, 128, &[(1, 64)])];
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
-        assert_eq!(index.reservation_candidate().unwrap().node, NodeId(1));
+        assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -558,7 +478,7 @@ mod tests {
         let nodes = [node_with_jobs(0, 128, &[]), node_with_jobs(1, 384, &[])];
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
-        assert_eq!(index.reservation_candidate().unwrap().node, NodeId(1));
+        assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -575,41 +495,14 @@ mod tests {
         assert!(!entry.accepts_submissions());
         // Gauges and candidate selection exclude the dead node.
         assert_eq!(index.accumulated_idle_memory(), Bytes::from_mb(100));
-        assert_eq!(index.best_destination(None).unwrap().node, NodeId(1));
-        assert_eq!(index.reservation_candidate().unwrap().node, NodeId(1));
-    }
-
-    #[test]
-    fn refresh_except_keeps_stale_entries() {
-        let mut node0 = node_with_jobs(0, 128, &[]);
-        let node1 = node_with_jobs(1, 128, &[]);
-        let mut index = LoadIndex::new();
-        index.refresh([&node0, &node1], SimTime::ZERO);
-        assert_eq!(index.get(NodeId(0)).unwrap().active_jobs, 0);
-        // Node 0 gains a job, but its next report is lost.
-        node0
-            .try_admit(
-                RunningJob::new(JobSpec {
-                    id: JobId(9),
-                    name: "j9".into(),
-                    class: JobClass::CpuIntensive,
-                    submit: SimTime::ZERO,
-                    cpu_work: SimSpan::from_secs(100),
-                    memory: MemoryProfile::constant(Bytes::from_mb(10)),
-                    io_rate: 0.0,
-                    malleable: None,
-                }),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        index.refresh_except([&node0, &node1], SimTime::from_secs(5), &[NodeId(0)]);
-        // Peers still see the pre-admission snapshot of node 0.
-        assert_eq!(index.get(NodeId(0)).unwrap().active_jobs, 0);
-        assert_eq!(index.refreshed_at(), SimTime::from_secs(5));
-        // A lost report with no prior entry falls back to a fresh capture.
-        let mut empty = LoadIndex::new();
-        empty.refresh_except([&node0, &node1], SimTime::from_secs(6), &[NodeId(0)]);
-        assert_eq!(empty.get(NodeId(0)).unwrap().active_jobs, 1);
+        assert_eq!(
+            index
+                .best_destination_where(Bytes::ZERO, None, |_| true)
+                .unwrap()
+                .node,
+            NodeId(1)
+        );
+        assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
     #[test]
@@ -618,17 +511,16 @@ mod tests {
         assert!(index.is_empty());
         assert_eq!(index.accumulated_idle_memory(), Bytes::ZERO);
         assert_eq!(index.average_user_memory(), Bytes::ZERO);
-        assert!(index.best_destination(None).is_none());
-        assert!(index.reservation_candidate().is_none());
-        assert!(index
-            .best_destination_for(Bytes::from_mb(1), None)
-            .is_none());
+        for demand in [Bytes::ZERO, Bytes::from_mb(1)] {
+            assert!(index
+                .best_destination_where(demand, None, |_| true)
+                .is_none());
+        }
         assert_eq!(index.by_idle_desc().count(), 0);
-        assert_eq!(index.placement_order().count(), 0);
     }
 
     #[test]
-    fn best_destination_for_respects_demand() {
+    fn best_destination_respects_demand() {
         let nodes = [
             node_with_jobs(0, 128, &[(1, 10)]),          // 118 MB idle, 1 job
             node_with_jobs(1, 128, &[(2, 100)]),         // 28 MB idle, 1 job
@@ -636,20 +528,17 @@ mod tests {
         ];
         let mut index = LoadIndex::new();
         index.refresh(nodes.iter(), SimTime::ZERO);
+        let best = |mb, exclude| {
+            index
+                .best_destination_where(Bytes::from_mb(mb), exclude, |_| true)
+                .map(|e| e.node)
+        };
         // Demand 50 MB: node 0 is the only 1-job node that fits.
-        let hit = index
-            .best_destination_for(Bytes::from_mb(50), None)
-            .unwrap();
-        assert_eq!(hit.node, NodeId(0));
+        assert_eq!(best(50, None), Some(NodeId(0)));
         // Excluding node 0 forces a fall-through to the 2-job bucket.
-        let hit = index
-            .best_destination_for(Bytes::from_mb(50), Some(NodeId(0)))
-            .unwrap();
-        assert_eq!(hit.node, NodeId(2));
+        assert_eq!(best(50, Some(NodeId(0))), Some(NodeId(2)));
         // Demand nothing can satisfy.
-        assert!(index
-            .best_destination_for(Bytes::from_mb(500), None)
-            .is_none());
+        assert_eq!(best(500, None), None);
     }
 
     #[test]
@@ -675,29 +564,22 @@ mod tests {
                     })
                     .min_by_key(|e| (e.active_jobs, Reverse(e.idle_memory), e.node))
                     .map(|e| e.node);
-                let indexed = index.best_destination_for(demand, exclude).map(|e| e.node);
+                let indexed = index
+                    .best_destination_where(demand, exclude, |_| true)
+                    .map(|e| e.node);
                 assert_eq!(indexed, linear, "demand {demand_mb} MB exclude {exclude:?}");
             }
         }
-        let linear_res = index
-            .iter()
-            .filter(|e| e.up && !e.reserved)
-            .max_by_key(|e| (e.idle_memory, Reverse(e.active_jobs), Reverse(e.node)))
-            .map(|e| e.node);
-        assert_eq!(index.reservation_candidate().map(|e| e.node), linear_res);
-        // Ordered iterators sweep their comparator order exactly.
-        let mut prev = None;
-        for e in index.placement_order() {
-            let key = (e.active_jobs, Reverse(e.idle_memory), e.node);
-            assert!(prev.as_ref().is_none_or(|p| *p < key));
-            prev = Some(key);
-        }
-        let mut prev = None;
-        for e in index.by_idle_desc() {
-            let key = (e.idle_memory, Reverse(e.active_jobs), Reverse(e.node));
-            assert!(prev.as_ref().is_none_or(|p| *p > key));
-            prev = Some(key);
-        }
+        // The reservation walk sweeps its comparator order exactly, over
+        // exactly the up, unreserved entries.
+        let mut linear_res: Vec<&NodeLoad> = index.iter().filter(|e| e.up && !e.reserved).collect();
+        linear_res
+            .sort_by_key(|e| Reverse((e.idle_memory, Reverse(e.active_jobs), Reverse(e.node))));
+        let walked: Vec<NodeId> = index.by_idle_desc().map(|e| e.node).collect();
+        assert_eq!(
+            walked,
+            linear_res.iter().map(|e| e.node).collect::<Vec<_>>()
+        );
     }
 
     #[test]

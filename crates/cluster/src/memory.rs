@@ -112,32 +112,17 @@ impl FaultModel {
     /// Returns an empty vector for an empty node. Working sets of zero are
     /// tolerated (stall 0 for those jobs).
     pub fn stall_factors(&self, working_sets: &[Bytes], user: Bytes) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.stall_factors_into(working_sets, user, &mut out);
-        out
-    }
-
-    /// [`FaultModel::stall_factors`] into a caller-owned buffer (cleared
-    /// first), so the simulation hot path can reuse its allocation. The
-    /// arithmetic is identical term for term: it is defined over
-    /// [`FaultModel::stall_curve`], which fused callers share.
-    pub fn stall_factors_into(&self, working_sets: &[Bytes], user: Bytes, out: &mut Vec<f64>) {
-        out.clear();
-        let k = working_sets.len();
-        if k == 0 {
-            return;
-        }
         let total: Bytes = working_sets.iter().copied().sum();
-        let curve = self.stall_curve(total, k, user);
-        out.extend(working_sets.iter().map(|w| curve.stall(*w)));
+        let curve = self.stall_curve(total, working_sets.len(), user);
+        working_sets.iter().map(|w| curve.stall(*w)).collect()
     }
 
     /// The node-wide stall curve for one integration segment: the scalars of
     /// the per-job formula `s_j = κ_eff · (w_j / w̄)` precomputed from the
-    /// total demand `total` of `k` resident working sets. Callers that
-    /// already know each job's working set evaluate [`StallCurve::stall`]
-    /// per job in a single fused pass; [`FaultModel::stall_factors_into`] is
-    /// itself defined over this curve, so the two paths cannot drift.
+    /// total demand `total` of `k` resident working sets. A workstation's
+    /// rate pass evaluates [`StallCurve::stall`] per job;
+    /// [`FaultModel::stall_factors`] is defined over the same curve, so the
+    /// two cannot drift.
     pub fn stall_curve(&self, total: Bytes, k: usize, user: Bytes) -> StallCurve {
         const FLAT: StallCurve = StallCurve {
             kappa_eff: 0.0,

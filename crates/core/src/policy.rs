@@ -18,6 +18,7 @@ use std::fmt;
 use vr_cluster::job::{JobId, RunningJob};
 use vr_cluster::loadinfo::{LoadIndex, NodeLoad};
 use vr_cluster::node::{NodeId, Workstation};
+use vr_cluster::units::Bytes;
 use vr_simcore::rng::SimRng;
 
 use crate::plugin::{entry, ParamBag};
@@ -152,27 +153,12 @@ pub trait Policy: fmt::Debug {
         rng: &mut SimRng,
     ) -> Placement {
         let _ = rng;
-        // §1: accept locally when the workstation has idle memory and a
-        // free job slot; otherwise remote-submit to a lightly loaded
-        // workstation with available memory and slots; else block. "Idle
-        // memory space" is checked against the job's *currently observed*
-        // demand — the scheduler "dynamically monitors ... memory demands
-        // of jobs" ([3]); growth beyond it (the unexpectedly large
+        // "Idle memory space" is checked against the job's *currently
+        // observed* demand — the scheduler "dynamically monitors ... memory
+        // demands of jobs" ([3]); growth beyond it (the unexpectedly large
         // allocations of §1) is what the memory threshold and migrations
         // must then handle.
-        let demand = job.current_working_set();
-        if index
-            .get(home)
-            .is_some_and(|load| load.accepts_submissions() && load.idle_memory >= demand)
-        {
-            return Placement::Local(home);
-        }
-        // O(log n) bucket probe over the ordered placement index — the
-        // winner of `min_by_key((active_jobs, Reverse(idle_memory), node))`.
-        match index.best_destination_for(demand, Some(home)) {
-            Some(dest) => Placement::Remote(dest.node),
-            None => Placement::Blocked,
-        }
+        load_sharing_place(job.current_working_set(), home, index, |_| true)
     }
 
     /// `true` if the policy performs fault-driven preemptive migration.
@@ -218,6 +204,31 @@ pub trait Policy: fmt::Debug {
     fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
         let _ = (node, pressure);
         None
+    }
+}
+
+/// G-Loadsharing's placement (§1), over a caller-side acceptance check:
+/// accept locally when the home workstation has `demand` in idle memory and
+/// a free job slot and passes `accept`; otherwise remote-submit to the best
+/// destination ([`LoadIndex::best_destination_where`]) that passes it; else
+/// block. [`Policy::place`] passes `|_| true`;
+/// [`PlacementMode::CommitAware`] passes its committed-capacity check.
+///
+/// [`PlacementMode::CommitAware`]: crate::config::PlacementMode::CommitAware
+pub(crate) fn load_sharing_place(
+    demand: Bytes,
+    home: NodeId,
+    index: &LoadIndex,
+    mut accept: impl FnMut(&NodeLoad) -> bool,
+) -> Placement {
+    if index.get(home).is_some_and(|load| {
+        load.accepts_submissions() && load.idle_memory >= demand && accept(load)
+    }) {
+        return Placement::Local(home);
+    }
+    match index.best_destination_where(demand, Some(home), accept) {
+        Some(dest) => Placement::Remote(dest.node),
+        None => Placement::Blocked,
     }
 }
 

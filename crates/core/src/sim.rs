@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
-use vr_cluster::loadinfo::LoadIndex;
+use vr_cluster::loadinfo::{LoadIndex, NodeLoad};
 use vr_cluster::node::{NodeId, Workstation};
 use vr_cluster::units::Bytes;
 use vr_faults::FaultInjector;
@@ -62,7 +62,7 @@ use crate::events::{EventLog, SchedulerEventKind};
 use crate::plugin::build_policy;
 #[cfg(test)]
 use crate::policy::PolicyKind;
-use crate::policy::{Placement, Policy, ResizeDirective};
+use crate::policy::{load_sharing_place, Placement, Policy, ResizeDirective};
 use crate::report::{RunReport, SchedulerCounters};
 use crate::reservation::{ReservationManager, ReservationPhase};
 
@@ -756,44 +756,20 @@ impl ClusterWorld {
     /// `Optimistic` defers to the policy verbatim — the paper's behavior,
     /// where decisions are made against the last load snapshot and races
     /// are resolved by admission rejection plus re-queue. `CommitAware`
-    /// applies the same committed-capacity accounting migration-target
-    /// selection already uses — idle memory net of in-flight transfers
-    /// (`in_transit_demand`) and slots net of in-flight submissions
-    /// (`has_uncommitted_slot`) — so a burst of decisions between index
-    /// refreshes cannot all pile onto the same least-loaded workstation.
-    /// Only the GLS-family policies have memory-aware placement to adjust;
-    /// the rest fall through to the policy unchanged.
+    /// runs G-Loadsharing's placement with the committed-capacity check
+    /// overload migration already uses
+    /// ([`ClusterWorld::has_committed_room`]), so a burst of decisions
+    /// between index refreshes cannot all pile onto the same least-loaded
+    /// workstation. Only the GLS-family policies have memory-aware
+    /// placement to adjust; the rest fall through to the policy unchanged.
     fn place_decision(&mut self, job: &RunningJob, home: NodeId) -> Placement {
         if self.config.placement == PlacementMode::CommitAware
             && self.plugin.commit_aware_placement()
         {
             let demand = job.current_working_set();
-            if self.index.get(home).is_some_and(|load| {
-                load.accepts_submissions()
-                    && load
-                        .idle_memory
-                        .saturating_sub(self.in_transit_demand(home))
-                        >= demand
-            }) && self.has_uncommitted_slot(home)
-            {
-                return Placement::Local(home);
-            }
-            let inbound = &self.inbound;
-            let nodes = &self.nodes;
-            let dest = self
-                .index
-                .best_destination_where(demand, Some(home), |e| {
-                    let i = e.node.0 as usize;
-                    let n = &nodes[i];
-                    let committed_slots = n.used_slots() as usize + inbound[i].count as usize;
-                    e.idle_memory.saturating_sub(inbound[i].demand) >= demand
-                        && committed_slots < n.slot_cap() as usize
-                })
-                .map(|e| e.node);
-            return match dest {
-                Some(node) => Placement::Remote(node),
-                None => Placement::Blocked,
-            };
+            return load_sharing_place(demand, home, &self.index, |e| {
+                self.has_committed_room(e, demand)
+            });
         }
         self.plugin.place(job, home, &self.index, &mut self.rng)
     }
@@ -980,24 +956,16 @@ impl ClusterWorld {
                 Some(_) => bound.second >= victim_ws,
                 None => false,
             };
-            // `feasible` is exact: it is the same predicate the full scan
-            // applies, collapsed to its maximum — false means the scan
-            // below would find nothing, true means it must find something.
+            // `feasible` is exact: it is the same predicate the walk below
+            // applies, collapsed to its maximum — false means the walk
+            // would find nothing, true means it must find something.
             let dest = if feasible {
-                // Best-first walk of the placement order; the first entry
-                // surviving the live-state filters is exactly the old
-                // linear `min_by_key` winner, found without visiting the
-                // rest of the cluster.
+                // The committed walk of commit-aware placement.
                 self.index
-                    .placement_order()
-                    .filter(|e| {
-                        e.node != src
-                            && e.idle_memory.saturating_sub(self.in_transit_demand(e.node))
-                                >= victim_ws
-                            && self.has_uncommitted_slot(e.node)
+                    .best_destination_where(victim_ws, Some(src), |e| {
+                        self.has_committed_room(e, victim_ws)
                     })
                     .map(|e| e.node)
-                    .next()
             } else {
                 None
             };
@@ -1195,6 +1163,17 @@ impl ClusterWorld {
         self.nodes[node.0 as usize]
             .idle_memory()
             .saturating_sub(self.in_transit_demand(node))
+    }
+
+    /// `true` if the node of index entry `e` still has room for one more
+    /// job of `demand` bytes once everything on the wire toward it lands:
+    /// its reported idle memory net of inbound demand covers `demand`, and
+    /// a job slot is left after inbound transfers. The committed-capacity
+    /// check of commit-aware placement and of overload migration; it
+    /// implies the index's own `idle_memory >= demand`.
+    fn has_committed_room(&self, e: &NodeLoad, demand: Bytes) -> bool {
+        e.idle_memory.saturating_sub(self.in_transit_demand(e.node)) >= demand
+            && self.has_uncommitted_slot(e.node)
     }
 
     /// `true` if `node` still has an uncommitted job slot.

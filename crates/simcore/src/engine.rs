@@ -81,59 +81,12 @@ impl<W: World, H: EventHook<W>> EventHook<W> for Option<H> {
     }
 }
 
+/// A pair runs its first hook, then its second, each seeing the same world;
+/// nest pairs to compose more observers.
 impl<W: World, A: EventHook<W>, B: EventHook<W>> EventHook<W> for (A, B) {
     fn after_event(&mut self, world: &W, now: SimTime) {
         self.0.after_event(world, now);
         self.1.after_event(world, now);
-    }
-}
-
-impl<W: World, A: EventHook<W>, B: EventHook<W>, C: EventHook<W>> EventHook<W> for (A, B, C) {
-    fn after_event(&mut self, world: &W, now: SimTime) {
-        self.0.after_event(world, now);
-        self.1.after_event(world, now);
-        self.2.after_event(world, now);
-    }
-}
-
-/// A runtime-sized chain of hooks behind one [`EventHook`] — the vec
-/// counterpart to the tuple impls, for observer sets only known at runtime.
-///
-/// Hooks run in insertion order after every dispatched event; each sees the
-/// world immutably, so earlier hooks cannot perturb what later hooks (or
-/// the simulation itself) observe.
-#[derive(Default)]
-pub struct HookChain<'h, W: World> {
-    hooks: Vec<&'h mut dyn EventHook<W>>,
-}
-
-impl<'h, W: World> HookChain<'h, W> {
-    /// An empty chain (a no-op observer until hooks are pushed).
-    pub fn new() -> Self {
-        HookChain { hooks: Vec::new() }
-    }
-
-    /// Appends a hook; it runs after every hook already in the chain.
-    pub fn push(&mut self, hook: &'h mut dyn EventHook<W>) {
-        self.hooks.push(hook);
-    }
-
-    /// Number of chained hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// `true` if no hooks are chained.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
-    }
-}
-
-impl<W: World> EventHook<W> for HookChain<'_, W> {
-    fn after_event(&mut self, world: &W, now: SimTime) {
-        for hook in &mut self.hooks {
-            hook.after_event(world, now);
-        }
     }
 }
 
@@ -525,33 +478,6 @@ mod tests {
         assert_eq!(solo, chained);
         let second = second.unwrap();
         assert_eq!(second.len(), chained.len());
-    }
-
-    #[test]
-    fn hook_chain_runs_all_hooks_in_insertion_order() {
-        let mut world = Recorder::default();
-        let mut engine = Engine::new();
-        engine
-            .scheduler()
-            .schedule_at(SimTime::from_secs(1), Ev::Ping);
-        let mut a = Spy {
-            name: "a",
-            seen: Vec::new(),
-        };
-        let mut b = Spy {
-            name: "b",
-            seen: Vec::new(),
-        };
-        {
-            let mut chain: HookChain<'_, Recorder> = HookChain::new();
-            assert!(chain.is_empty());
-            chain.push(&mut a);
-            chain.push(&mut b);
-            assert_eq!(chain.len(), 2);
-            engine.run_until_with(&mut world, SimTime::MAX, &mut chain);
-        }
-        assert_eq!(a.seen, vec![("a", SimTime::from_secs(1), 1)]);
-        assert_eq!(b.seen, vec![("b", SimTime::from_secs(1), 1)]);
     }
 
     #[test]

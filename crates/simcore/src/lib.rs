@@ -64,7 +64,7 @@ pub mod stats;
 pub mod time;
 
 pub use bitset::BitSet;
-pub use engine::{Engine, EventHook, HookChain, RunStats, Scheduler, World};
+pub use engine::{Engine, EventHook, RunStats, Scheduler, World};
 pub use event::{EventHandle, EventQueue};
 pub use hash::{fnv1a128, hex128, Fnv128};
 pub use histogram::{slowdown_histogram, Histogram};
