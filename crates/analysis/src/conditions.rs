@@ -11,7 +11,7 @@
 //!
 //! §2.3 adds the precondition that the *accumulated* idle memory must exceed
 //! the user space of a single workstation for a reservation to be worth
-//! making.
+//! making; the engine checks it before beginning a reservation.
 
 use serde::{Deserialize, Serialize};
 use vr_cluster::params::ClusterParams;
@@ -108,12 +108,6 @@ impl Applicability {
     }
 }
 
-/// §2.1's activation precondition: the accumulated idle memory must exceed
-/// the average user memory of a workstation.
-pub fn reservation_precondition(accumulated_idle: Bytes, average_user: Bytes) -> bool {
-    accumulated_idle > average_user
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,17 +163,5 @@ mod tests {
         let a = Applicability::assess(&trace, &ClusterParams::cluster2());
         assert!(a.big_jobs_dominant(), "{a:?}");
         assert!(!a.expects_gain());
-    }
-
-    #[test]
-    fn precondition_matches_paper_rule() {
-        assert!(reservation_precondition(
-            Bytes::from_mb(400),
-            Bytes::from_mb(384)
-        ));
-        assert!(!reservation_precondition(
-            Bytes::from_mb(300),
-            Bytes::from_mb(384)
-        ));
     }
 }

@@ -10,8 +10,7 @@
 //! * [`queueing`] — the reserved-workstation FIFO bound
 //!   `g(Q_r(k)) ≤ Σ (Q_r(k) − j)·w_kj` and the SRPT ordering property.
 //! * [`conditions`] — §5's three "potentially unsuccessful" predicates
-//!   (light load, equal memory demands, oversized jobs) and §2.1's
-//!   accumulated-idle-memory precondition.
+//!   (light load, equal memory demands, oversized jobs).
 //! * [`timeline`] — time-resolved views (queue length, reservation
 //!   occupancy, blocking episodes, throughput) reconstructed from a run's
 //!   scheduler event log.
@@ -35,7 +34,7 @@ pub mod model;
 pub mod queueing;
 pub mod timeline;
 
-pub use conditions::{reservation_precondition, Applicability};
+pub use conditions::Applicability;
 pub use model::{ExecutionTimeModel, ModelCheck};
 pub use queueing::{fifo_queue_time, minimizing_order, reserved_queue_bound};
 pub use timeline::{

@@ -263,53 +263,36 @@ impl ONode {
                 .protection
                 .apply(&mut stalls, &working_sets, &remaining);
         }
-        // vr-lint::allow(float-eq, reason = "sentinel check mirroring the engine: 1.0 is assigned verbatim, never computed")
-        if self.stall_scale != 1.0 {
-            for s in &mut stalls {
-                *s *= self.stall_scale;
-            }
+        for s in &mut stalls {
+            *s *= self.stall_scale;
         }
         stalls
     }
 
-    /// Per-job progress rates: an equal CPU share degraded by context-switch
-    /// efficiency, divided by `1 + stall` (restated from the documented
-    /// round-robin model).
+    /// Per-job progress rates, restated from the documented round-robin
+    /// model: a width-w job holds w of the W = Σ widths logical slots, so it
+    /// gets w equal shares of the processor-sharing rate at
+    /// multiprogramming level W, degraded by context-switch efficiency and
+    /// divided by `1 + stall`.
     fn rates_and_stalls(&self) -> (Vec<f64>, Vec<f64>) {
         let stalls = self.stall_factors();
-        let k = stalls.len();
-        if k == 0 {
+        if stalls.is_empty() {
             return (Vec::new(), stalls);
         }
         let q = self.params.cpu.quantum.as_secs_f64();
         let cs = self.params.cpu.context_switch.as_secs_f64();
-        let total_width: u32 = self.jobs.iter().map(|j| j.width).sum();
-        let rates = if total_width as usize == k {
-            // All widths 1 (classic policies): the historical arithmetic.
-            let efficiency = if k <= 1 || q + cs <= 0.0 {
-                1.0
-            } else {
-                q / (q + cs)
-            };
-            let share = self.params.cpu.speed * efficiency / k as f64;
-            stalls.iter().map(|s| share / (1.0 + s)).collect()
+        let w_total: u32 = self.jobs.iter().map(|j| j.width).sum();
+        let efficiency = if w_total <= 1 || q + cs <= 0.0 {
+            1.0
         } else {
-            // Width-aware restatement: a width-w job holds w of the
-            // W = Σ widths logical slots, so it gets w equal shares of the
-            // processor-sharing rate at multiprogramming level W.
-            let w_total = total_width as usize;
-            let efficiency = if w_total <= 1 || q + cs <= 0.0 {
-                1.0
-            } else {
-                q / (q + cs)
-            };
-            let share = self.params.cpu.speed * efficiency / w_total as f64;
-            stalls
-                .iter()
-                .zip(&self.jobs)
-                .map(|(s, j)| share * j.width as f64 / (1.0 + s))
-                .collect()
+            q / (q + cs)
         };
+        let share = self.params.cpu.speed * efficiency / f64::from(w_total);
+        let rates = stalls
+            .iter()
+            .zip(&self.jobs)
+            .map(|(s, j)| share * f64::from(j.width) / (1.0 + s))
+            .collect();
         (rates, stalls)
     }
 
@@ -528,7 +511,7 @@ struct Oracle {
 /// for differential comparison against the engine's.
 ///
 /// The report's `events` log, `run_stats`, and `audit_violations` are left
-/// empty — [`crate::compare_reports`] ignores those fields by contract.
+/// empty — [`vrecon::compare_reports`] ignores those fields by contract.
 ///
 /// # Errors
 ///

@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
-use vr_simcore::time::SimTime;
 
 use crate::node::{NodeId, Workstation};
 use crate::units::Bytes;
@@ -90,7 +89,6 @@ impl NodeLoad {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LoadIndex {
     entries: Vec<NodeLoad>,
-    refreshed_at: SimTime,
     /// Cluster-wide idle-memory sum, recomputed once per refresh. Entries
     /// are immutable between refreshes, so the cache cannot go stale; it is
     /// re-derived (not serialized) because it is a pure function of
@@ -131,12 +129,11 @@ impl LoadIndex {
     /// Replaces the index with fresh captures of every node. In-place: the
     /// entry buffer is reused across refreshes (this runs every exchange
     /// tick), and the sort is O(n) for the usual already-ordered input.
-    pub fn refresh<'a>(&mut self, nodes: impl IntoIterator<Item = &'a Workstation>, now: SimTime) {
+    pub fn refresh<'a>(&mut self, nodes: impl IntoIterator<Item = &'a Workstation>) {
         self.entries.clear();
         self.entries
             .extend(nodes.into_iter().map(NodeLoad::capture));
         self.entries.sort_by_key(|e| e.node);
-        self.refreshed_at = now;
         self.recompute_derived();
     }
 
@@ -187,10 +184,9 @@ impl LoadIndex {
         &mut self,
         nodes: &[Workstation],
         targets: impl IntoIterator<Item = NodeId>,
-        now: SimTime,
     ) {
         if self.entries.len() != nodes.len() {
-            self.refresh(nodes.iter(), now);
+            self.refresh(nodes.iter());
             return;
         }
         for node in targets {
@@ -214,12 +210,6 @@ impl LoadIndex {
             self.entries[i] = new;
             self.index_entry(&new);
         }
-        self.refreshed_at = now;
-    }
-
-    /// When the index was last refreshed.
-    pub fn refreshed_at(&self) -> SimTime {
-        self.refreshed_at
     }
 
     /// The entry for one node, if present.
@@ -352,7 +342,7 @@ mod tests {
     use crate::job::{JobClass, JobId, JobSpec, MemoryProfile, RunningJob};
     use crate::memory::{FaultModel, MemoryParams};
     use crate::node::NodeParams;
-    use vr_simcore::time::SimSpan;
+    use vr_simcore::time::{SimSpan, SimTime};
 
     fn params(user_mb: u64) -> NodeParams {
         NodeParams {
@@ -405,9 +395,8 @@ mod tests {
             node_with_jobs(2, 128, &[]),
         ];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::from_secs(5));
+        index.refresh(nodes.iter());
         assert_eq!(index.len(), 3);
-        assert_eq!(index.refreshed_at(), SimTime::from_secs(5));
         assert_eq!(
             index.get(NodeId(1)).unwrap().idle_memory,
             Bytes::from_mb(28)
@@ -426,7 +415,7 @@ mod tests {
             node_with_jobs(2, 128, &[(4, 10)]),
         ];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         // Nodes 1 and 2 tie on job count and idle memory; ties break by id.
         let best = |exclude| index.best_destination_where(Bytes::ZERO, exclude, |_| true);
         assert_eq!(best(None).unwrap().node, NodeId(1));
@@ -442,7 +431,7 @@ mod tests {
         reserved.set_reserved(true);
         let nodes = [full, saturated, reserved];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         // No slot / no idle memory / reserved: nothing qualifies.
         assert!(index
             .best_destination_where(Bytes::ZERO, None, |_| true)
@@ -457,7 +446,7 @@ mod tests {
             node_with_jobs(2, 128, &[(3, 60)]),
         ];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
@@ -467,7 +456,7 @@ mod tests {
         best.set_reserved(true);
         let nodes = [best, node_with_jobs(1, 128, &[(1, 64)])];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
@@ -477,7 +466,7 @@ mod tests {
         // large physical memory space".
         let nodes = [node_with_jobs(0, 128, &[]), node_with_jobs(1, 384, &[])];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         assert_eq!(index.by_idle_desc().next().unwrap().node, NodeId(1));
     }
 
@@ -487,7 +476,7 @@ mod tests {
         down.crash(SimTime::ZERO);
         let nodes = [down, node_with_jobs(1, 128, &[(2, 28)])];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         let entry = index.get(NodeId(0)).unwrap();
         assert!(!entry.up);
         assert_eq!(entry.idle_memory, Bytes::ZERO);
@@ -527,7 +516,7 @@ mod tests {
             node_with_jobs(2, 128, &[(3, 10), (4, 10)]), // 108 MB idle, 2 jobs
         ];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         let best = |mb, exclude| {
             index
                 .best_destination_where(Bytes::from_mb(mb), exclude, |_| true)
@@ -551,7 +540,7 @@ mod tests {
             node_with_jobs(4, 384, &[(5, 40)]),
         ];
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         for demand_mb in [0, 30, 90, 200, 400] {
             for exclude in [None, Some(NodeId(3)), Some(NodeId(1))] {
                 let demand = Bytes::from_mb(demand_mb);
@@ -592,7 +581,7 @@ mod tests {
         ];
         let mut index = LoadIndex::new();
         // Unpopulated index: refresh_targets falls back to a full refresh.
-        index.refresh_targets(&nodes, [], SimTime::ZERO);
+        index.refresh_targets(&nodes, []);
         assert_eq!(index.len(), 4);
         // Churn a subset of nodes: a crash, a reservation, and an admission.
         nodes[0].crash(SimTime::from_secs(1));
@@ -612,21 +601,16 @@ mod tests {
                 SimTime::from_secs(1),
             )
             .unwrap();
-        index.refresh_targets(
-            &nodes,
-            [NodeId(0), NodeId(1), NodeId(2)],
-            SimTime::from_secs(1),
-        );
+        index.refresh_targets(&nodes, [NodeId(0), NodeId(1), NodeId(2)]);
         let mut full = LoadIndex::new();
-        full.refresh(nodes.iter(), SimTime::from_secs(1));
+        full.refresh(nodes.iter());
         assert_eq!(index, full);
         // Recovery churn: restart the crashed node and release the flag.
         nodes[0].restart(SimTime::from_secs(2));
         nodes[1].set_reserved(false);
-        index.refresh_targets(&nodes, [NodeId(0), NodeId(1)], SimTime::from_secs(2));
+        index.refresh_targets(&nodes, [NodeId(0), NodeId(1)]);
         let mut full = LoadIndex::new();
-        full.refresh(nodes.iter(), SimTime::from_secs(2));
+        full.refresh(nodes.iter());
         assert_eq!(index, full);
-        assert_eq!(index.refreshed_at(), SimTime::from_secs(2));
     }
 }

@@ -149,17 +149,6 @@ impl FaultModel {
             flat_zero: false,
         }
     }
-
-    /// Estimated page faults per second of CPU progress for a job with the
-    /// given stall factor.
-    pub fn faults_per_cpu_second(&self, stall_factor: f64, params: &MemoryParams) -> f64 {
-        let service = params.fault_service.as_secs_f64();
-        if service <= 0.0 {
-            0.0
-        } else {
-            stall_factor / service
-        }
-    }
 }
 
 /// Per-segment stall scalars built by [`FaultModel::stall_curve`]. Within
@@ -271,14 +260,6 @@ mod tests {
     fn off_model_never_stalls() {
         let factors = FaultModel::Off.stall_factors(&[mb(500)], mb(10));
         assert_eq!(factors, vec![0.0]);
-    }
-
-    #[test]
-    fn faults_per_second_inverts_service_time() {
-        let params = MemoryParams::with_capacity(mb(128), mb(128));
-        let model = FaultModel::default();
-        // Stall factor 1.0 at 10ms per fault = 100 faults per cpu-second.
-        assert!((model.faults_per_cpu_second(1.0, &params) - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -439,8 +439,8 @@ proptest! {
         let mut now = SimTime::ZERO;
         let mut full = LoadIndex::new();
         let mut incremental = LoadIndex::new();
-        full.refresh(world.iter(), now);
-        incremental.refresh(world.iter(), now);
+        full.refresh(world.iter());
+        incremental.refresh(world.iter());
         let mut next_job = 1_000u64;
         for op in ops {
             let mut touched: Vec<NodeId> = Vec::new();
@@ -488,8 +488,8 @@ proptest! {
                     touched.push(NodeId(i as u32));
                 }
             }
-            full.refresh(world.iter(), now);
-            incremental.refresh_targets(&world, touched.iter().copied(), now);
+            full.refresh(world.iter());
+            incremental.refresh_targets(&world, touched.iter().copied());
             prop_assert_eq!(&full, &incremental, "incremental refresh diverged from rebuild");
             assert_queries_match(&incremental, &world, &inbound);
         }

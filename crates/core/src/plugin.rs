@@ -96,11 +96,6 @@ impl ParamBag {
         self
     }
 
-    /// The raw string value of `key`, if present.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.entries.get(key).map(String::as_str)
-    }
-
     /// The value of `key` parsed as `T`, if present.
     ///
     /// # Errors
@@ -314,7 +309,7 @@ mod tests {
         assert!(ParamBag::parse("a=1,a=2").is_err());
         // Empty value is allowed (key present, value empty string).
         let bag = ParamBag::parse("a=").unwrap();
-        assert_eq!(bag.get_str("a"), Some(""));
+        assert_eq!(bag.get::<String>("a"), Ok(Some(String::new())));
     }
 
     #[test]

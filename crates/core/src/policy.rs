@@ -588,7 +588,7 @@ mod tests {
             })
             .collect();
         let mut index = LoadIndex::new();
-        index.refresh(nodes.iter(), SimTime::ZERO);
+        index.refresh(nodes.iter());
         index
     }
 

@@ -118,39 +118,6 @@ impl RunReport {
         self.unfinished_jobs == 0
     }
 
-    /// Per-program mean slowdowns, ordered by program name — the paper's
-    /// SRPT argument predicts small programs benefit most from V-R while
-    /// large ones are still treated fairly, which this lets callers check.
-    pub fn slowdown_by_program(&self) -> Vec<(String, f64, usize)> {
-        let mut acc: std::collections::BTreeMap<&str, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for job in &self.jobs {
-            let entry = acc.entry(job.spec.name.as_str()).or_insert((0.0, 0));
-            entry.0 += job.slowdown();
-            entry.1 += 1;
-        }
-        acc.into_iter()
-            .map(|(name, (sum, n))| (name.to_owned(), sum / n as f64, n))
-            .collect()
-    }
-
-    /// Total I/O operations issued across all workstations.
-    pub fn total_io_ops(&self) -> f64 {
-        self.node_counters.iter().map(|c| c.io_ops).sum()
-    }
-
-    /// Per-workstation utilization over the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate report (no nodes or zero makespan).
-    pub fn utilization(&self) -> vr_metrics::utilization::UtilizationSummary {
-        vr_metrics::utilization::UtilizationSummary::from_counters(
-            &self.node_counters,
-            self.finished_at,
-        )
-    }
-
     /// Verifies the §5 identity for every completed job: wall-clock time
     /// (completion − submission) equals `cpu + page + queue + migration`
     /// within `tolerance_secs`.
@@ -255,30 +222,6 @@ mod tests {
             audit_violations: Vec::new(),
             jobs,
         }
-    }
-
-    #[test]
-    fn slowdown_by_program_groups_and_averages() {
-        let r = report(vec![
-            job(0, "a", 10.0, 10.0), // slowdown 2
-            job(1, "a", 10.0, 30.0), // slowdown 4
-            job(2, "b", 10.0, 0.0),  // slowdown 1
-        ]);
-        let by = r.slowdown_by_program();
-        assert_eq!(by.len(), 2);
-        assert_eq!(by[0].0, "a");
-        assert!((by[0].1 - 3.0).abs() < 1e-12);
-        assert_eq!(by[0].2, 2);
-        assert_eq!(by[1], ("b".to_owned(), 1.0, 1));
-    }
-
-    #[test]
-    fn utilization_and_io_roll_up() {
-        let r = report(vec![job(0, "a", 10.0, 0.0)]);
-        assert!((r.total_io_ops() - 12.0).abs() < 1e-12);
-        let u = r.utilization();
-        assert_eq!(u.nodes.len(), 1);
-        assert!((u.nodes[0].cpu_utilization - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`Simulation`] wires everything together: it replays a
 //! [`Trace`] against a cluster of
 //! [`Workstation`]s under a
-//! [`PolicyKind`], implementing the framework of
+//! [`PolicyKind`](crate::PolicyKind), implementing the framework of
 //! §2.1:
 //!
 //! ```text
@@ -299,16 +299,13 @@ pub(crate) struct ClusterWorld {
     /// stays up until the matching [`Event::ReservationUnstall`] fires.
     /// Slab indexed by node id; read through [`ClusterWorld::is_stalled`].
     stalled: Vec<bool>,
-    /// Per-node "currently in detected blocking state" bits, slab indexed
-    /// by node id. Blocking detection is *edge-triggered*: the counter and
-    /// log record fire when a bit rises, and the bit falls as soon as the
-    /// overload scan finds the node no longer blocked — so
-    /// `blocking_detections` counts blocking episodes (state changes), not
-    /// scan ticks.
-    blocked_nodes: Vec<bool>,
-    /// Node ids whose `blocked_nodes` bit is up, mirrored as a sweep set
-    /// so the overload scan can revisit flagged nodes through
-    /// [`BitSet::union`] with the active set.
+    /// Nodes currently in the detected blocking state. Blocking detection
+    /// is *edge-triggered*: the counter and log record fire when a node
+    /// enters the set, and it leaves as soon as the overload scan finds it
+    /// no longer blocked — so `blocking_detections` counts blocking
+    /// episodes (state changes), not scan ticks. Mutated only inside
+    /// [`ClusterWorld::overload_scan`], which revisits flagged nodes
+    /// through [`BitSet::union`] with the active set.
     blocked_set: BitSet,
     /// Nodes that currently host work (resident jobs or an undrained
     /// completion outbox). Everything outside this set is settled: its load
@@ -398,14 +395,13 @@ impl ClusterWorld {
                 .clone()
                 .map(|plan| FaultInjector::new(plan, config.seed)),
             stalled: vec![false; node_count],
-            blocked_nodes: vec![false; node_count],
             blocked_set: BitSet::new(node_count),
             active: BitSet::new(node_count),
             ripe: BitSet::new(node_count),
             dirty: BitSet::new(node_count),
             exchange_ticks: 0,
         };
-        world.index.refresh(world.nodes.iter(), SimTime::ZERO);
+        world.index.refresh(world.nodes.iter());
         world
     }
 
@@ -478,19 +474,6 @@ impl ClusterWorld {
         }
     }
 
-    /// Sets or clears a node's job-blocking flag, keeping the `blocked_set`
-    /// mirror in sync. The flags are mutated only inside
-    /// [`ClusterWorld::overload_scan`]; the mirror is what lets the scan
-    /// revisit exactly the flagged nodes without walking the whole cluster.
-    fn set_blocked(&mut self, i: usize, blocked: bool) {
-        self.blocked_nodes[i] = blocked;
-        if blocked {
-            self.blocked_set.insert(i as u32);
-        } else {
-            self.blocked_set.remove(i as u32);
-        }
-    }
-
     /// Advances every node that hosts work to `now`. Settled nodes need no
     /// advance: with no resident jobs there is nothing to integrate, so
     /// their counters and demand are unchanged by construction.
@@ -528,12 +511,12 @@ impl ClusterWorld {
     /// [`ClusterWorld::advance_active`], all of which dirty the node — so a
     /// node outside the dirty set has exactly the state it had when its
     /// index entry was captured, and a full
-    /// `index.refresh(self.nodes.iter(), now)` would recapture the
+    /// `index.refresh(self.nodes.iter())` would recapture the
     /// identical entry. That makes the result byte-identical to a full
     /// rebuild at O(changed · log n) cost, per refresh, instead of
     /// O(cluster): the property the sweep-set cross-check below asserts in
     /// debug builds.
-    fn refresh_index_incremental(&mut self, now: SimTime, is_stale: impl Fn(NodeId) -> bool) {
+    fn refresh_index_incremental(&mut self, is_stale: impl Fn(NodeId) -> bool) {
         let mut targets: Vec<NodeId> = Vec::new();
         let mut kept: Vec<u32> = Vec::new();
         for i in &self.dirty {
@@ -545,7 +528,7 @@ impl ClusterWorld {
             }
         }
         self.index
-            .refresh_targets(&self.nodes, targets.iter().copied(), now);
+            .refresh_targets(&self.nodes, targets.iter().copied());
         self.dirty.clear();
         // A node can only leave the hosting-work state through an advance
         // or a mutation, both of which dirty it — so pruning the visited
@@ -560,7 +543,7 @@ impl ClusterWorld {
         self.update_network_ram();
         #[cfg(debug_assertions)]
         if self.dirty.is_empty() {
-            self.debug_check_sweep_sets(now);
+            self.debug_check_sweep_sets();
         }
     }
 
@@ -569,9 +552,9 @@ impl ClusterWorld {
     /// from-scratch rebuild produces, and no node outside the active set
     /// may host work.
     #[cfg(debug_assertions)]
-    fn debug_check_sweep_sets(&self, now: SimTime) {
+    fn debug_check_sweep_sets(&self) {
         let mut full = LoadIndex::new();
-        full.refresh(self.nodes.iter(), now);
+        full.refresh(self.nodes.iter());
         debug_assert_eq!(
             self.index, full,
             "incremental index diverged from a full rebuild"
@@ -589,7 +572,7 @@ impl ClusterWorld {
     fn refresh_index(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         self.advance_active(now);
         self.collect_completions(now, sched);
-        self.refresh_index_incremental(now, |_| false);
+        self.refresh_index_incremental(|_| false);
     }
 
     /// The periodic exchange's variant of [`ClusterWorld::refresh_index`]:
@@ -624,7 +607,7 @@ impl ClusterWorld {
                     }
                 }
         };
-        self.refresh_index_incremental(now, is_stale);
+        self.refresh_index_incremental(is_stale);
     }
 
     /// Clears a node's reservation flag after the manager dropped its
@@ -724,7 +707,7 @@ impl ClusterWorld {
         }
         if any {
             // A completing node effectively announces its freed capacity.
-            self.refresh_index_incremental(now, |_| false);
+            self.refresh_index_incremental(|_| false);
             self.try_place_pending(now, sched);
             self.check_reservations(now, sched);
             self.check_done(now);
@@ -908,7 +891,7 @@ impl ClusterWorld {
         let mut visit: Vec<usize> = Vec::new();
         for i in self.active.union(&self.blocked_set) {
             let i = i as usize;
-            if self.blocked_nodes[i] {
+            if self.blocked_set.contains(i as u32) {
                 visit.push(i);
                 continue;
             }
@@ -934,19 +917,19 @@ impl ClusterWorld {
         for i in visit {
             let src = self.nodes[i].id();
             if self.nodes[i].is_reserved() || !self.nodes[i].is_up() {
-                self.set_blocked(i, false);
+                self.blocked_set.remove(i as u32);
                 continue;
             }
             let usage = self.nodes[i].memory_usage();
             let threshold = self.config.overload_bytes(usage.user);
             if usage.overflow() <= threshold {
-                self.set_blocked(i, false);
+                self.blocked_set.remove(i as u32);
                 continue;
             }
             // The node is seriously faulting; try to migrate its most
             // memory-intensive job away.
             let Some(victim) = self.nodes[i].most_memory_intensive_job() else {
-                self.set_blocked(i, false);
+                self.blocked_set.remove(i as u32);
                 continue;
             };
             let victim_id = victim.id();
@@ -971,7 +954,7 @@ impl ClusterWorld {
             };
             match dest {
                 Some(dst) => {
-                    self.set_blocked(i, false);
+                    self.blocked_set.remove(i as u32);
                     self.start_migration(src, victim_id, dst, false, now, sched);
                     self.counters.overload_migrations += 1;
                     bound = self.dest_bound();
@@ -980,8 +963,7 @@ impl ClusterWorld {
                     // "The scheduler could not find a qualified destination
                     // to migrate jobs from this workstation": the job
                     // blocking problem.
-                    if !self.blocked_nodes[i] {
-                        self.set_blocked(i, true);
+                    if self.blocked_set.insert(i as u32) {
                         self.counters.blocking_detections += 1;
                         self.log.record(
                             now,
@@ -1077,7 +1059,7 @@ impl ClusterWorld {
         if any {
             // Resizing changes slot occupancy (a scheduling input); refresh
             // so later passes in this tick see the new capacity.
-            self.refresh_index_incremental(now, |_| false);
+            self.refresh_index_incremental(|_| false);
         }
     }
 
@@ -1509,7 +1491,7 @@ impl ClusterWorld {
             self.enqueue_pending(job, node_id, now);
         }
         self.touch(node_id);
-        self.refresh_index_incremental(now, |_| false);
+        self.refresh_index_incremental(|_| false);
         self.try_place_pending(now, sched);
     }
 
@@ -1530,7 +1512,7 @@ impl ClusterWorld {
         self.log
             .record(now, SchedulerEventKind::NodeRestarted, None, Some(node_id));
         self.touch(node_id);
-        self.refresh_index_incremental(now, |_| false);
+        self.refresh_index_incremental(|_| false);
         self.try_place_pending(now, sched);
     }
 

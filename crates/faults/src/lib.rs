@@ -15,9 +15,10 @@
 //! * **reservation-release stall** — a reserved workstation stays reserved
 //!   for a configured extra delay after the protocol releases it.
 //!
-//! All random draws flow through a dedicated [`SimRng`] stream forked from
-//! the simulation seed, so faults compose with determinism: the same seed
-//! and the same plan reproduce a bit-identical run.
+//! All random draws flow through a dedicated
+//! [`SimRng`](vr_simcore::rng::SimRng) stream forked from the simulation
+//! seed, so faults compose with determinism: the same seed and the same
+//! plan reproduce a bit-identical run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,7 @@
 //! The paper's figures all report the same structure: a baseline
 //! (G-Loadsharing) against the proposed method (V-Reconfiguration) across
 //! five traces, with reductions quoted in percent. [`MetricComparison`]
-//! captures one such pairing; [`fmt_reduction`] renders it the way §4 quotes
-//! it.
+//! captures one such pairing.
 
 use serde::{Deserialize, Serialize};
 use vr_simcore::stats::reduction_pct;
@@ -32,17 +31,6 @@ impl MetricComparison {
     pub fn reduction(&self) -> f64 {
         reduction_pct(self.baseline, self.candidate)
     }
-
-    /// `true` if the candidate improved (strictly lower) on a
-    /// lower-is-better metric.
-    pub fn improved(&self) -> bool {
-        self.candidate < self.baseline
-    }
-}
-
-/// Formats a comparison like the paper quotes it: `"29.3%"` (one decimal).
-pub fn fmt_reduction(c: &MetricComparison) -> String {
-    format!("{:.1}%", c.reduction())
 }
 
 #[cfg(test)]
@@ -53,15 +41,12 @@ mod tests {
     fn reduction_matches_paper_arithmetic() {
         let c = MetricComparison::new(1000.0, 707.0);
         assert!((c.reduction() - 29.3).abs() < 1e-9);
-        assert!(c.improved());
-        assert_eq!(fmt_reduction(&c), "29.3%");
     }
 
     #[test]
     fn regression_is_negative() {
         let c = MetricComparison::new(100.0, 120.0);
         assert!(c.reduction() < 0.0);
-        assert!(!c.improved());
     }
 
     #[test]

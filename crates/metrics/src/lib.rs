@@ -12,8 +12,6 @@
 //! * [`fairness`] — Jain's index and worst-to-mean ratios over per-job
 //!   slowdowns (the §2.2 fairness constraint).
 //! * [`table`] — fixed-width / CSV rendering for the figure binaries.
-//! * [`utilization`] — per-workstation CPU/paging utilization and
-//!   load-imbalance summaries from node counters.
 //! * [`throughput`] — [`ThroughputSummary`]: simulator events/second
 //!   accounting for the experiment runner's sweep telemetry.
 //! * [`latency`] — [`LatencySummary`]: request-latency percentiles and
@@ -36,7 +34,6 @@ pub mod sampler;
 pub mod summary;
 pub mod table;
 pub mod throughput;
-pub mod utilization;
 
 pub use comparison::MetricComparison;
 pub use fairness::{jain_index, worst_to_mean};
@@ -45,4 +42,3 @@ pub use sampler::{balance_skew, ClusterGauges};
 pub use summary::WorkloadSummary;
 pub use table::TextTable;
 pub use throughput::ThroughputSummary;
-pub use utilization::{NodeUtilization, UtilizationSummary};

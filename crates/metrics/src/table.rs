@@ -124,11 +124,6 @@ pub fn fmt_f(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
-/// Formats a reduction percentage in the paper's style (e.g. `"29.3%"`).
-pub fn fmt_pct(value: f64) -> String {
-    format!("{value:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +166,5 @@ mod tests {
     #[test]
     fn float_helpers() {
         assert_eq!(fmt_f(4.5678, 2), "4.57");
-        assert_eq!(fmt_pct(29.34), "29.3%");
     }
 }

@@ -36,13 +36,6 @@ pub struct CacheStats {
     pub corrupt_entries: u64,
 }
 
-impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
 /// A result cache rooted at a directory, or disabled entirely.
 ///
 /// A disabled cache (`ResultCache::disabled()`, the `--no-cache` escape
@@ -85,11 +78,6 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
         }
-    }
-
-    /// Whether lookups can ever hit.
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
     }
 
     /// The file a given scenario hash lives at, if caching is enabled.
@@ -307,7 +295,6 @@ mod tests {
         cache.store("xyz", &report).unwrap();
         assert!(cache.lookup("xyz").is_none());
         assert!(cache.lookup_raw("xyz").is_none());
-        assert!(!cache.is_enabled());
         assert_eq!(cache.path_for("xyz"), None);
         assert_eq!(
             cache.stats(),

@@ -36,7 +36,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimSpan, SimTime};
 
 /// A simulation state machine driven by an [`Engine`].
@@ -110,7 +110,7 @@ impl<'a, E> Scheduler<'a, E> {
     ///
     /// Panics if `time` is in the past — discrete-event simulations must
     /// never schedule backwards.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: now={} requested={}",
@@ -127,14 +127,8 @@ impl<'a, E> Scheduler<'a, E> {
     /// Panics if `self.now + delay` overflows the clock — routed through
     /// [`Scheduler::schedule_at`] so both entry points share the
     /// cannot-schedule-into-the-past guard.
-    pub fn schedule_in(&mut self, delay: SimSpan, event: E) -> EventHandle {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if it was still
-    /// pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
+    pub fn schedule_in(&mut self, delay: SimSpan, event: E) {
+        self.schedule_at(self.now + delay, event);
     }
 
     /// The number of pending events.
@@ -478,20 +472,5 @@ mod tests {
         assert_eq!(solo, chained);
         let second = second.unwrap();
         assert_eq!(second.len(), chained.len());
-    }
-
-    #[test]
-    fn cancelled_events_never_fire() {
-        let mut world = Recorder::default();
-        let mut engine = Engine::new();
-        let h = engine
-            .scheduler()
-            .schedule_at(SimTime::from_secs(1), Ev::Ping);
-        engine
-            .scheduler()
-            .schedule_at(SimTime::from_secs(2), Ev::Pong);
-        assert!(engine.scheduler().cancel(h));
-        engine.run_until(&mut world, SimTime::MAX);
-        assert_eq!(world.log, vec![(SimTime::from_secs(2), Ev::Pong)]);
     }
 }

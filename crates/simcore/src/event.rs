@@ -10,29 +10,24 @@
 //! The backing store is a calendar queue tuned to the simulator's
 //! short-horizon event mix (periodic exchange/sample ticks about one second
 //! apart, plus job arrivals spread over hours): time is divided into
-//! ~1-second slots, each slot hashing onto one of [`BUCKETS`] bucket deques
+//! ~1-second slots, each slot hashing onto one of 1024 bucket deques
 //! kept sorted by `(time, seq)`. Scheduling is an O(1) append for the
 //! common monotone case (a binary-searched insert otherwise), and popping
 //! advances a slot cursor, so both ends of the queue cost O(1) amortized
 //! instead of the O(log n) of a binary heap — and no hashing or heap
 //! sifting happens per event.
 //!
-//! Cancellation is lazy: [`EventQueue::cancel`] marks the entry dead and the
-//! queue skips it on pop, so cancelling is O(1) and popping stays O(1)
-//! amortized. When dead entries outnumber half the live ones the queue
-//! compacts, dropping them from every bucket, so cancel-heavy workloads
-//! cannot grow the physical store without bound.
-//!
 //! ```
 //! use vr_simcore::event::EventQueue;
 //! use vr_simcore::time::SimTime;
 //!
 //! let mut q = EventQueue::new();
-//! let a = q.schedule(SimTime::from_secs(2), "second");
+//! q.schedule(SimTime::from_secs(2), "second");
 //! q.schedule(SimTime::from_secs(1), "first");
 //! q.schedule(SimTime::from_secs(2), "third (same time, later seq)");
-//! assert!(q.cancel(a));
+//! assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
 //! assert_eq!(q.pop().map(|(_, e)| e), Some("first"));
+//! assert_eq!(q.pop().map(|(_, e)| e), Some("second"));
 //! assert_eq!(q.pop().map(|(_, e)| e), Some("third (same time, later seq)"));
 //! assert!(q.pop().is_none());
 //! ```
@@ -47,18 +42,6 @@ const BUCKETS: usize = 1024;
 /// the order of the simulator's periodic tick spacing.
 const SLOT_SHIFT: u32 = 20;
 
-/// Entry lifecycle, indexed by sequence number in `EventQueue::states`.
-const STATE_PENDING: u8 = 0;
-const STATE_CANCELLED: u8 = 1;
-const STATE_GONE: u8 = 2;
-
-/// Identifies a scheduled event so it can be cancelled later.
-///
-/// Handles are unique for the lifetime of the queue and become inert once the
-/// event has fired or been cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
@@ -68,22 +51,17 @@ struct Entry<E> {
 
 /// A deterministic time-ordered queue of pending simulation events.
 ///
-/// See the [module documentation](self) for ordering and cancellation
-/// semantics.
+/// See the [module documentation](self) for ordering semantics.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// `BUCKETS` deques, each sorted ascending by `(time, seq)`. A slot's
     /// entries all land in bucket `slot % BUCKETS`; colliding slots share a
     /// bucket but the sort keeps earlier slots in front.
     buckets: Vec<VecDeque<Entry<E>>>,
-    /// Lifecycle per sequence number ever issued (1 byte per event).
-    states: Vec<u8>,
-    /// Lower bound on the slot of the earliest live entry.
+    /// Lower bound on the slot of the earliest entry.
     cursor_slot: u64,
-    /// Entries scheduled but neither fired nor cancelled.
+    /// Entries scheduled but not yet popped.
     live: usize,
-    /// Cancelled entries still physically present in a bucket.
-    dead: usize,
     next_seq: u64,
 }
 
@@ -100,10 +78,8 @@ impl<E> EventQueue<E> {
         buckets.resize_with(BUCKETS, VecDeque::new);
         EventQueue {
             buckets,
-            states: Vec::new(),
             cursor_slot: 0,
             live: 0,
-            dead: 0,
             next_seq: 0,
         }
     }
@@ -112,12 +88,10 @@ impl<E> EventQueue<E> {
         time.as_micros() >> SLOT_SHIFT
     }
 
-    /// Schedules `event` to fire at `time` and returns a handle that can
-    /// cancel it.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
+    /// Schedules `event` to fire at `time`.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.states.push(STATE_PENDING);
         let slot = Self::slot_of(time);
         if self.live == 0 || slot < self.cursor_slot {
             self.cursor_slot = slot;
@@ -133,67 +107,10 @@ impl<E> EventQueue<E> {
             let at = bucket.partition_point(|e| e.time <= time);
             bucket.insert(at, Entry { time, seq, event });
         }
-        EventHandle(seq)
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending, `false` if it had
-    /// already fired or been cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.states.get_mut(handle.0 as usize) {
-            Some(state) if *state == STATE_PENDING => {
-                *state = STATE_CANCELLED;
-                self.live -= 1;
-                self.dead += 1;
-                self.maybe_compact();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Drops cancelled entries from every bucket once they outnumber half
-    /// the live ones.
-    ///
-    /// The O(n) sweep is amortized: after a compaction the dead count is
-    /// zero, and since `2 · dead > live` gates the sweep its cost is at
-    /// most ~3× the number of cancels performed since the previous one.
-    fn maybe_compact(&mut self) {
-        if self.dead * 2 <= self.live {
-            return;
-        }
-        for bucket in &mut self.buckets {
-            bucket.retain(|e| {
-                let keep = self.states[e.seq as usize] == STATE_PENDING;
-                if !keep {
-                    self.states[e.seq as usize] = STATE_GONE;
-                }
-                keep
-            });
-        }
-        self.dead = 0;
-    }
-
-    /// Strips cancelled entries off the head of `bucket`, returning `true`
-    /// if a live head remains.
-    fn strip_cancelled_head(&mut self, bucket: usize) -> bool {
-        while let Some(head) = self.buckets[bucket].front() {
-            if self.states[head.seq as usize] == STATE_PENDING {
-                return true;
-            }
-            let seq = self.buckets[bucket]
-                .pop_front()
-                .map(|e| e.seq)
-                .unwrap_or_default();
-            self.states[seq as usize] = STATE_GONE;
-            self.dead -= 1;
-        }
-        false
-    }
-
-    /// Advances the slot cursor to the earliest live entry and returns its
-    /// bucket index. `None` when no live entries remain.
+    /// Advances the slot cursor to the earliest entry and returns its
+    /// bucket index. `None` when the queue is empty.
     ///
     /// Scans slot-by-slot from the cursor (each step is one bucket-head
     /// check); if [`BUCKETS`] consecutive slots are empty the next event is
@@ -206,8 +123,9 @@ impl<E> EventQueue<E> {
         for step in 0..BUCKETS as u64 {
             let slot = self.cursor_slot + step;
             let bucket = (slot as usize) & (BUCKETS - 1);
-            if self.strip_cancelled_head(bucket)
-                && Self::slot_of(self.buckets[bucket][0].time) == slot
+            if self.buckets[bucket]
+                .front()
+                .is_some_and(|head| Self::slot_of(head.time) == slot)
             {
                 self.cursor_slot = slot;
                 return Some(bucket);
@@ -217,11 +135,10 @@ impl<E> EventQueue<E> {
         // are per-bucket minima, so the least (time, seq) among them is the
         // queue minimum.
         let mut best: Option<(SimTime, u64, usize)> = None;
-        for bucket in 0..BUCKETS {
-            if !self.strip_cancelled_head(bucket) {
+        for (bucket, entries) in self.buckets.iter().enumerate() {
+            let Some(head) = entries.front() else {
                 continue;
-            }
-            let head = &self.buckets[bucket][0];
+            };
             let key = (head.time, head.seq);
             if best.is_none_or(|(t, s, _)| key < (t, s)) {
                 best = Some((head.time, head.seq, bucket));
@@ -236,11 +153,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let bucket = self.find_min_bucket()?;
         let entry = self.buckets[bucket].pop_front()?;
-        self.states[entry.seq as usize] = STATE_GONE;
         self.live -= 1;
-        // Popping shrinks the live count, so the dead ratio can cross the
-        // compaction threshold here too, not just on cancel.
-        self.maybe_compact();
         Some((entry.time, entry.event))
     }
 
@@ -250,7 +163,7 @@ impl<E> EventQueue<E> {
         self.buckets[bucket].front().map(|e| e.time)
     }
 
-    /// The number of pending (non-cancelled) events.
+    /// The number of pending events.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -258,28 +171,6 @@ impl<E> EventQueue<E> {
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// The number of entries physically held by the backing store, including
-    /// lazily-cancelled ones awaiting compaction.
-    ///
-    /// Always at least [`len`](Self::len); the compaction policy keeps the
-    /// excess bounded by `len() / 2`. Exposed so external checkers can assert
-    /// the queue does not grow without bound under heavy cancellation.
-    pub fn heap_len(&self) -> usize {
-        self.live + self.dead
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            for entry in bucket.drain(..) {
-                self.states[entry.seq as usize] = STATE_GONE;
-            }
-        }
-        self.live = 0;
-        self.dead = 0;
-        self.cursor_slot = 0;
     }
 }
 
@@ -312,141 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
+    fn interleaved_schedule_pop() {
         let mut q = EventQueue::new();
-        let h = q.schedule(t(1), "dead");
-        q.schedule(t(2), "alive");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(h));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2), "alive")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_twice_is_rejected() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), ());
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_rejected() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_rejected() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), "dead");
-        q.schedule(t(9), "alive");
-        assert!(q.cancel(h));
-        assert_eq!(q.peek_time(), Some(t(9)));
-        assert_eq!(q.pop(), Some((t(9), "alive")));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn cancel_after_clear_is_rejected() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), 1);
-        q.clear();
-        assert!(!q.cancel(h));
-        assert_eq!(q.heap_len(), 0);
-    }
-
-    #[test]
-    fn cancel_fired_handle_with_others_pending_is_rejected() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), "fires");
-        q.schedule(t(2), "still pending");
-        assert_eq!(q.pop(), Some((t(1), "fires")));
-        assert!(!q.cancel(h));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2), "still pending")));
-    }
-
-    #[test]
-    fn heavy_cancellation_compacts_heap() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..1_000).map(|i| q.schedule(t(i), i)).collect();
-        for h in &handles[..900] {
-            assert!(q.cancel(*h));
-        }
-        assert_eq!(q.len(), 100);
-        // Compaction keeps dead heap entries bounded by half the live count;
-        // without it the store would still hold all 1 000 entries.
-        assert!(
-            q.heap_len() - q.len() <= q.len() / 2,
-            "store holds {} entries for {} live events",
-            q.heap_len(),
-            q.len()
-        );
-        // Survivors still pop in (time, seq) order.
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (900..1_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancelling_everything_empties_the_heap() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..64).map(|i| q.schedule(t(i % 7), i)).collect();
-        for h in handles {
-            assert!(q.cancel(h));
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.heap_len(), 0, "cancelled entries must not linger");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn compaction_preserves_handle_semantics() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..10).map(|i| q.schedule(t(i), i)).collect();
-        for h in &handles[..8] {
-            assert!(q.cancel(*h));
-        }
-        // Cancelled handles stay dead after the compaction that just ran.
-        for h in &handles[..8] {
-            assert!(!q.cancel(*h));
-        }
-        // Live handles are still cancellable exactly once.
-        assert!(q.cancel(handles[8]));
-        assert!(!q.cancel(handles[8]));
-        assert_eq!(q.pop(), Some((t(9), 9)));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn interleaved_schedule_pop_cancel() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(10), 1);
+        q.schedule(t(10), 1);
         q.schedule(t(5), 2);
         assert_eq!(q.pop(), Some((t(5), 2)));
         q.schedule(t(8), 3);
-        assert!(q.cancel(h1));
         q.schedule(t(12), 4);
         assert_eq!(q.pop(), Some((t(8), 3)));
+        assert_eq!(q.pop(), Some((t(10), 1)));
         assert_eq!(q.pop(), Some((t(12), 4)));
         assert!(q.pop().is_none());
     }

@@ -6,12 +6,12 @@
 //!
 //! * [`time`] — fixed-point [`SimTime`] /
 //!   [`SimSpan`] microsecond clock types.
-//! * [`event`] — deterministic, cancellable
+//! * [`event`] — deterministic calendar
 //!   [`EventQueue`] ordered by `(time, seq)`.
 //! * [`engine`] — the [`Engine`] loop driving a
 //!   [`World`].
-//! * [`rng`] — seeded [`SimRng`] with normal / lognormal /
-//!   exponential samplers (rand 0.8 ships none).
+//! * [`rng`] — seeded [`SimRng`] with uniform, exponential and jitter
+//!   draws (rand 0.8 ships no distributions).
 //! * [`stats`] — Welford accumulators, percentiles, and the paper's
 //!   reduction-percentage metric.
 //! * [`histogram`] — fixed-bucket histograms for heavy-tailed slowdown
@@ -65,7 +65,7 @@ pub mod time;
 
 pub use bitset::BitSet;
 pub use engine::{Engine, EventHook, RunStats, Scheduler, World};
-pub use event::{EventHandle, EventQueue};
+pub use event::EventQueue;
 pub use hash::{fnv1a128, hex128, Fnv128};
 pub use histogram::{slowdown_histogram, Histogram};
 pub use jsonio::Json;

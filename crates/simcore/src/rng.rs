@@ -8,8 +8,8 @@
 //!
 //! The generator is self-contained (xoshiro256++ seeded through splitmix64,
 //! no external crates — the build environment has no registry access), and
-//! the normal, lognormal, and exponential samplers needed by the workload
-//! generator are implemented here (Box–Muller and inverse-CDF transforms).
+//! the exponential sampler the workload generators need is implemented here
+//! (an inverse-CDF transform).
 //!
 //! ```
 //! use vr_simcore::rng::SimRng;
@@ -18,7 +18,7 @@
 //! let mut b = SimRng::seed_from(42);
 //! assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 //!
-//! let x = a.lognormal(3.0, 1.0);
+//! let x = a.exponential(0.5);
 //! assert!(x > 0.0);
 //! ```
 
@@ -67,8 +67,6 @@ impl Xoshiro256PlusPlus {
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: Xoshiro256PlusPlus,
-    /// Spare deviate from the last Box–Muller pair.
-    spare_normal: Option<f64>,
 }
 
 impl SimRng {
@@ -76,7 +74,6 @@ impl SimRng {
     pub fn seed_from(seed: u64) -> Self {
         SimRng {
             inner: Xoshiro256PlusPlus::seeded(seed),
-            spare_normal: None,
         }
     }
 
@@ -133,69 +130,6 @@ impl SimRng {
     /// Panics if `items` is empty.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
-    }
-
-    /// Picks an index according to non-negative `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, contains a negative value, or sums to
-    /// zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index requires weights");
-        let total: f64 = weights
-            .iter()
-            .inspect(|w| assert!(**w >= 0.0, "negative weight {w}"))
-            .sum();
-        assert!(total > 0.0, "weights must not all be zero");
-        let mut target = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
-                return i;
-            }
-            target -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Standard normal deviate via Box–Muller (with spare caching).
-    pub fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal.take() {
-            return z;
-        }
-        // Draw u1 in (0, 1] to keep ln() finite.
-        let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare_normal = Some(r * theta.sin());
-        r * theta.cos()
-    }
-
-    /// Normal deviate with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev >= 0.0,
-            "normal requires std_dev >= 0, got {std_dev}"
-        );
-        mean + std_dev * self.standard_normal()
-    }
-
-    /// Lognormal deviate: `exp(N(mu, sigma))`.
-    ///
-    /// `mu` and `sigma` are the mean and standard deviation of the
-    /// *underlying normal*, matching the parameterization of the paper's
-    /// arrival-rate function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Exponential deviate with the given rate (mean `1/rate`).
@@ -288,50 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn normal_matches_moments() {
-        let mut rng = SimRng::seed_from(11);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn lognormal_is_positive_with_correct_median() {
-        let mut rng = SimRng::seed_from(13);
-        let n = 50_000;
-        let mut samples: Vec<f64> = (0..n).map(|_| rng.lognormal(2.0, 0.5)).collect();
-        assert!(samples.iter().all(|x| *x > 0.0));
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[n / 2];
-        // Median of lognormal(mu, sigma) is exp(mu).
-        assert!(
-            (median - 2.0f64.exp()).abs() / 2.0f64.exp() < 0.05,
-            "median {median}"
-        );
-    }
-
-    #[test]
     fn exponential_matches_mean() {
         let mut rng = SimRng::seed_from(17);
         let n = 50_000;
         let mean = (0..n).map(|_| rng.exponential(0.25)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed_from(19);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..10_000 {
-            counts[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper samples cluster-wide gauges (total idle memory, per-node active
 //! job counts) every second and averages them over the whole run, noting that
 //! the averages are insensitive to the sampling interval (§4.1). [`TimeSeries`]
-//! stores such samples and provides both the plain sample average the paper
-//! uses and an exact time-weighted average for validation.
+//! stores such samples and provides the plain sample average the paper uses.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,29 +65,6 @@ impl TimeSeries {
             0.0
         } else {
             self.values().sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Exact time-weighted average, treating the series as a step function
-    /// that holds each value until the next sample.
-    ///
-    /// Returns the plain average when fewer than two samples exist.
-    pub fn time_weighted_average(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.sample_average();
-        }
-        let mut area = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            area += w[0].1 * dt;
-        }
-        // vr-lint::allow(panic-in-lib, reason = "the windows(2) accumulation above proves points is non-empty here")
-        let total = (self.points.last().unwrap().0 - self.points[0].0).as_secs_f64();
-        // vr-lint::allow(float-eq, reason = "exact zero-guard before division by total elapsed time")
-        if total == 0.0 {
-            self.sample_average()
-        } else {
-            area / total
         }
     }
 
@@ -167,19 +143,7 @@ mod tests {
         let s = TimeSeries::new();
         assert!(s.is_empty());
         assert_eq!(s.sample_average(), 0.0);
-        assert_eq!(s.time_weighted_average(), 0.0);
         assert!(s.last().is_none());
-    }
-
-    #[test]
-    fn time_weighted_average_weights_by_duration() {
-        // Value 10 for 9 seconds, then 0 for 1 second.
-        let s: TimeSeries = [(t(0), 10.0), (t(9), 0.0), (t(10), 0.0)]
-            .into_iter()
-            .collect();
-        assert!((s.time_weighted_average() - 9.0).abs() < 1e-12);
-        // The plain sample average would be misleadingly low.
-        assert!((s.sample_average() - 10.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

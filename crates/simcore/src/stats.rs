@@ -98,24 +98,9 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divide by n−1), or 0 with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation, or +∞ when empty.
@@ -250,9 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_n_minus_one() {
+    fn population_variance_divides_by_n() {
         let acc: OnlineStats = [1.0, 3.0].into_iter().collect();
-        assert_eq!(acc.sample_variance(), 2.0);
         assert_eq!(acc.population_variance(), 1.0);
     }
 

@@ -63,65 +63,23 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
+    /// Model-based check: random interleavings of schedule/pop/peek behave
+    /// exactly like a naive sorted-`Vec` reference model.
     #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
+    fn queue_matches_vec_model(ops in prop::collection::vec((0u8..3, 0u64..500u64), 1..300)) {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| q.schedule(SimTime::from_micros(*t), i))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, h) in handles.into_iter().enumerate() {
-            if cancel_mask.get(i).copied().unwrap_or(false) {
-                prop_assert!(q.cancel(h));
-            } else {
-                kept.push(i);
-            }
-        }
-        prop_assert_eq!(q.len(), kept.len());
-        let mut popped: Vec<usize> =
-            std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
-        popped.sort_unstable();
-        kept.sort_unstable();
-        prop_assert_eq!(popped, kept);
-    }
-
-    /// Model-based check: random interleavings of schedule/cancel/pop/peek
-    /// behave exactly like a naive sorted-`Vec` reference model, and the
-    /// compaction policy keeps dead heap entries bounded throughout.
-    #[test]
-    fn queue_matches_vec_model(ops in prop::collection::vec((0u8..4, 0u64..500u64), 1..300)) {
-        let mut q = EventQueue::new();
-        // Reference model: live events as (time, seq, payload), scanned
-        // linearly for the (time, seq) minimum. Handles ever issued are kept
-        // so cancel can target fired/cancelled ones too.
+        // Reference model: pending events as (time, seq, payload), scanned
+        // linearly for the (time, seq) minimum.
         let mut model: Vec<(u64, u64, usize)> = Vec::new();
-        let mut issued = Vec::new();
         let mut next_payload = 0usize;
         for (op, arg) in ops {
             match op {
                 0 => {
-                    let h = q.schedule(SimTime::from_micros(arg), next_payload);
-                    model.push((arg, issued.len() as u64, next_payload));
-                    issued.push(h);
+                    q.schedule(SimTime::from_micros(arg), next_payload);
+                    model.push((arg, next_payload as u64, next_payload));
                     next_payload += 1;
                 }
                 1 => {
-                    if issued.is_empty() {
-                        continue;
-                    }
-                    let pick = arg as usize % issued.len();
-                    let seq = pick as u64;
-                    let live = model.iter().any(|&(_, s, _)| s == seq);
-                    prop_assert_eq!(q.cancel(issued[pick]), live);
-                    model.retain(|&(_, s, _)| s != seq);
-                }
-                2 => {
                     let expected = model
                         .iter()
                         .enumerate()
@@ -142,12 +100,6 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
-            prop_assert!(
-                q.heap_len() <= model.len() + model.len() / 2 + 1,
-                "heap grew to {} entries for {} live events",
-                q.heap_len(),
-                model.len()
-            );
         }
         // Drain: whatever is left pops in exact (time, seq) order.
         model.sort_by_key(|&(t, s, _)| (t, s));
@@ -161,11 +113,11 @@ proptest! {
     /// rotations of the calendar queue and repeat exactly, so one sequence
     /// of operations drives equal-key FIFO ordering, same-bucket slot
     /// collisions (times one full rotation apart), cursor rewinds
-    /// (scheduling earlier than the last pop), the sparse far-future jump,
-    /// and compaction — all against the naive sorted-Vec model.
+    /// (scheduling earlier than the last pop) and the sparse far-future
+    /// jump — all against the naive sorted-Vec model.
     #[test]
     fn calendar_queue_matches_vec_model_across_rotations(
-        ops in prop::collection::vec((0u8..4, 0u64..u64::MAX), 1..400)
+        ops in prop::collection::vec((0u8..3, 0u64..u64::MAX), 1..400)
     ) {
         // Slot width and rotation period of the calendar layout (1024
         // buckets of 2^20 µs); exercised as plain times here — the queue's
@@ -188,28 +140,16 @@ proptest! {
         ];
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, u64, usize)> = Vec::new();
-        let mut issued = Vec::new();
         let mut next_payload = 0usize;
         for (op, arg) in ops {
             match op {
                 0 => {
                     let time = TIMES[(arg % TIMES.len() as u64) as usize];
-                    let h = q.schedule(SimTime::from_micros(time), next_payload);
-                    model.push((time, issued.len() as u64, next_payload));
-                    issued.push(h);
+                    q.schedule(SimTime::from_micros(time), next_payload);
+                    model.push((time, next_payload as u64, next_payload));
                     next_payload += 1;
                 }
                 1 => {
-                    if issued.is_empty() {
-                        continue;
-                    }
-                    let pick = (arg % issued.len() as u64) as usize;
-                    let seq = pick as u64;
-                    let live = model.iter().any(|&(_, s, _)| s == seq);
-                    prop_assert_eq!(q.cancel(issued[pick]), live);
-                    model.retain(|&(_, s, _)| s != seq);
-                }
-                2 => {
                     let expected = model
                         .iter()
                         .enumerate()
@@ -229,12 +169,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(q.len(), model.len());
-            prop_assert!(
-                q.heap_len() <= model.len() + model.len() / 2 + 1,
-                "store grew to {} entries for {} live events",
-                q.heap_len(),
-                model.len()
-            );
         }
         model.sort_by_key(|&(t, s, _)| (t, s));
         let drained: Vec<(u64, usize)> =

@@ -28,12 +28,17 @@ pub struct TraceSpan {
 ///
 /// Pairing rules (all keyed per job unless noted):
 /// - `"job"`: first `submitted` → `completed`
-/// - `"pending"`: `blocked` / `requeued` → next `placed`
+/// - `"pending"`: `blocked` / `requeued` → next `placed` or transit start
+///   (the engine stops charging queue time when the job leaves the queue)
 /// - `"transit"`: `transit-started` / `migration-started` /
-///   `special-service-started` → next `placed` or `migration-failed`
+///   `special-service-started` → next `placed`, `migration-failed`,
+///   `blocked` or `requeued` (a stale bounce at the destination or an
+///   abandoned transfer puts the job back in the pending queue)
 /// - `"suspend"`: `suspended` → `resumed`
 /// - `"reservation"` (per node): `reservation-began` →
 ///   `reservation-released`, LIFO when nested
+///
+/// A job's pending and transit spans therefore never overlap.
 ///
 /// Spans still open when the stream ends are closed at `final_time`, so a
 /// horizon-truncated run yields spans ending exactly at the horizon. The
@@ -72,10 +77,20 @@ pub fn derive_spans(records: &[TraceRecord], final_time: SimTime) -> Vec<TraceSp
                     close(&mut spans, "job", start, r.time, Some(j), node);
                 }
             }
-            ("blocked" | "requeued", Some(j), _) => {
+            ("blocked" | "requeued", Some(j), node) => {
+                if let Some(start) = transit_open.remove(&j) {
+                    close(&mut spans, "transit", start, r.time, Some(j), node);
+                }
                 pending_open.entry(j).or_insert(r.time);
             }
-            ("transit-started" | "migration-started" | "special-service-started", Some(j), _) => {
+            (
+                "transit-started" | "migration-started" | "special-service-started",
+                Some(j),
+                node,
+            ) => {
+                if let Some(start) = pending_open.remove(&j) {
+                    close(&mut spans, "pending", start, r.time, Some(j), node);
+                }
                 transit_open.entry(j).or_insert(r.time);
             }
             ("placed", Some(j), node) => {
@@ -208,6 +223,40 @@ mod tests {
         );
         assert_eq!(spans[0].end, SimTime::from_secs(2));
         assert_eq!(spans[1].end, SimTime::from_secs(6));
+    }
+
+    #[test]
+    fn pending_and_transit_alternate_without_overlap() {
+        // Job 1 leaves the queue by remote submission, is bounced by a
+        // stale admission at the destination and queues again; job 2's
+        // transfer is abandoned and the job re-queued.
+        let records = [
+            rec(1, "blocked", Some(1), Some(0)),
+            rec(2, "transit-started", Some(2), Some(6)),
+            rec(3, "transit-started", Some(1), Some(4)),
+            rec(4, "blocked", Some(1), Some(4)),
+            rec(5, "requeued", Some(2), Some(6)),
+            rec(6, "transit-started", Some(1), Some(5)),
+            rec(7, "placed", Some(1), Some(5)),
+            rec(8, "placed", Some(2), Some(3)),
+        ];
+        let spans = derive_spans(&records, SimTime::from_secs(10));
+        let intervals: Vec<_> = spans
+            .iter()
+            .map(|s| (s.name, s.job, s.start, s.end))
+            .collect();
+        let t = SimTime::from_secs;
+        assert_eq!(
+            intervals,
+            vec![
+                ("pending", Some(1), t(1), t(3)),
+                ("transit", Some(2), t(2), t(5)),
+                ("transit", Some(1), t(3), t(4)),
+                ("pending", Some(1), t(4), t(6)),
+                ("pending", Some(2), t(5), t(8)),
+                ("transit", Some(1), t(6), t(7)),
+            ]
+        );
     }
 
     #[test]

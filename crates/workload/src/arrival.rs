@@ -155,48 +155,6 @@ impl BurstyArrivals {
     }
 }
 
-/// A diurnal arrival process: a raised-cosine daily rate profile, peaking
-/// mid-"day". Used for long-horizon scheduling experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalArrivals {
-    /// Mean arrivals per second across the whole period.
-    pub mean_rate_per_sec: f64,
-    /// Length of one day-cycle in seconds.
-    pub period_secs: f64,
-    /// Number of arrivals to generate.
-    pub count: usize,
-}
-
-impl DiurnalArrivals {
-    /// The (unnormalized) instantaneous rate at `t` seconds: a raised
-    /// cosine with its peak at mid-period.
-    pub fn rate(&self, t_secs: f64) -> f64 {
-        let phase = (t_secs / self.period_secs) * 2.0 * std::f64::consts::PI;
-        self.mean_rate_per_sec * (1.0 - phase.cos())
-    }
-
-    /// Generates `count` arrival instants by thinning a homogeneous
-    /// process at twice the mean rate, sorted ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate or period is not strictly positive.
-    pub fn generate(&self, rng: &mut SimRng) -> Vec<SimTime> {
-        assert!(self.mean_rate_per_sec > 0.0, "rate must be positive");
-        assert!(self.period_secs > 0.0, "period must be positive");
-        let envelope = 2.0 * self.mean_rate_per_sec;
-        let mut out = Vec::with_capacity(self.count);
-        let mut t = 0.0f64;
-        while out.len() < self.count {
-            t += rng.exponential(envelope);
-            if rng.uniform() * envelope < self.rate(t) {
-                out.push(SimTime::from_secs_f64(t));
-            }
-        }
-        out
-    }
-}
-
 /// A homogeneous Poisson arrival process (for synthetic workloads).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoissonArrivals {
@@ -345,41 +303,6 @@ mod tests {
         let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
         let cv = var.sqrt() / mean;
         assert!(cv > 1.3, "cv {cv} not bursty");
-    }
-
-    #[test]
-    fn diurnal_rate_peaks_mid_period() {
-        let d = DiurnalArrivals {
-            mean_rate_per_sec: 1.0,
-            period_secs: 86_400.0,
-            count: 10,
-        };
-        assert!(d.rate(43_200.0) > d.rate(1_000.0));
-        assert!(d.rate(0.0) < 1e-6); // trough at period start
-        assert!((d.rate(43_200.0) - 2.0).abs() < 1e-9); // peak = 2x mean
-    }
-
-    #[test]
-    fn diurnal_arrivals_follow_the_profile() {
-        let mut rng = SimRng::seed_from(13);
-        let d = DiurnalArrivals {
-            mean_rate_per_sec: 0.5,
-            period_secs: 1_000.0,
-            count: 2_000,
-        };
-        let times = d.generate(&mut rng);
-        assert_eq!(times.len(), 2_000);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        // Mid-period halves receive more arrivals than the edges.
-        let mut mid = 0usize;
-        for t in &times {
-            let phase = t.as_secs_f64() % 1_000.0;
-            if (250.0..750.0).contains(&phase) {
-                mid += 1;
-            }
-        }
-        let frac = mid as f64 / 2_000.0;
-        assert!(frac > 0.7, "mid-period fraction {frac}");
     }
 
     #[test]

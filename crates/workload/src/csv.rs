@@ -227,112 +227,6 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
     Ok(Trace { name, jobs })
 }
 
-const ACTIVITY_MAGIC: &str = "#vrecon-activity v1";
-
-/// Writes an [`ActivityRecord`](crate::activity::ActivityRecord) in a
-/// line-oriented text format:
-///
-/// ```text
-/// #vrecon-activity v1
-/// #name=mcf class=mem interval_us=10000
-/// mem_bytes,io_ops
-/// 52428800,0.002
-/// ...
-/// ```
-///
-/// # Errors
-///
-/// Returns an error on I/O failure or if the name contains characters the
-/// format cannot represent.
-pub fn write_activity<W: Write>(
-    record: &crate::activity::ActivityRecord,
-    mut w: W,
-) -> io::Result<()> {
-    if record.name.contains([' ', '\n', '=']) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("activity name {:?} cannot be serialized", record.name),
-        ));
-    }
-    writeln!(w, "{ACTIVITY_MAGIC}")?;
-    writeln!(
-        w,
-        "#name={} class={} interval_us={}",
-        record.name,
-        class_tag(record.class),
-        record.interval.as_micros()
-    )?;
-    writeln!(w, "mem_bytes,io_ops")?;
-    for s in &record.samples {
-        writeln!(w, "{},{}", s.memory.as_u64(), s.io_ops)?;
-    }
-    Ok(())
-}
-
-/// Reads an activity record previously written with [`write_activity`].
-///
-/// # Errors
-///
-/// Returns [`ReadTraceError`] on I/O failure or malformed input.
-pub fn read_activity<R: BufRead>(r: R) -> Result<crate::activity::ActivityRecord, ReadTraceError> {
-    let mut lines = r.lines().enumerate();
-    let bad = |line: usize, message: &str| ReadTraceError::Parse {
-        line: line + 1,
-        message: message.to_owned(),
-    };
-    let (n, magic) = lines.next().ok_or(ReadTraceError::BadMagic)?;
-    if magic?.trim() != ACTIVITY_MAGIC {
-        return Err(bad(n, "missing activity magic header"));
-    }
-    let (n, header) = lines.next().ok_or_else(|| bad(1, "missing header line"))?;
-    let header = header?;
-    let mut name = None;
-    let mut class = None;
-    let mut interval = None;
-    for part in header.trim_start_matches('#').split_whitespace() {
-        let (key, value) = part
-            .split_once('=')
-            .ok_or_else(|| bad(n, "header fields are key=value"))?;
-        match key {
-            "name" => name = Some(value.to_owned()),
-            "class" => class = parse_class(value),
-            "interval_us" => {
-                interval = Some(SimSpan::from_micros(
-                    value.parse().map_err(|_| bad(n, "bad interval"))?,
-                ))
-            }
-            _ => return Err(bad(n, "unknown header field")),
-        }
-    }
-    let (name, class, interval) = match (name, class, interval) {
-        (Some(a), Some(b), Some(c)) => (a, b, c),
-        _ => return Err(bad(n, "header must carry name, class, interval_us")),
-    };
-    let (_, _columns) = lines
-        .next()
-        .ok_or_else(|| bad(2, "missing column header"))?;
-    let mut samples = Vec::new();
-    for (n, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (mem, io) = line
-            .split_once(',')
-            .ok_or_else(|| bad(n, "expected mem_bytes,io_ops"))?;
-        samples.push(crate::activity::ActivitySample {
-            memory: Bytes::new(mem.parse().map_err(|_| bad(n, "bad memory"))?),
-            io_ops: io.parse().map_err(|_| bad(n, "bad io ops"))?,
-        });
-    }
-    Ok(crate::activity::ActivityRecord {
-        name,
-        class,
-        interval,
-        samples,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,44 +326,6 @@ mod tests {
         trace.jobs[0].name = "a,b".to_owned();
         let err = write_trace(&trace, Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn activity_records_round_trip() {
-        use crate::activity::ActivityRecord;
-        let spec = spec_trace(TraceLevel::Light, &mut SimRng::seed_from(5)).jobs[0].clone();
-        let record =
-            ActivityRecord::record_dedicated(&spec, vr_simcore::time::SimSpan::from_millis(500))
-                .unwrap();
-        let mut buf = Vec::new();
-        write_activity(&record, &mut buf).unwrap();
-        let parsed = read_activity(buf.as_slice()).unwrap();
-        assert_eq!(parsed, record);
-    }
-
-    #[test]
-    fn activity_parser_rejects_garbage() {
-        assert!(read_activity("nope\n".as_bytes()).is_err());
-        let bad_header = format!("{ACTIVITY_MAGIC}\n#name only\nmem,io\n");
-        assert!(read_activity(bad_header.as_bytes()).is_err());
-        let bad_sample =
-            format!("{ACTIVITY_MAGIC}\n#name=x class=cpu interval_us=1000\nmem,io\nabc,def\n");
-        assert!(read_activity(bad_sample.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn activity_writer_rejects_awkward_names() {
-        use crate::activity::{ActivityRecord, ActivitySample};
-        let record = ActivityRecord {
-            name: "has space".into(),
-            class: vr_cluster::job::JobClass::CpuIntensive,
-            interval: vr_simcore::time::SimSpan::from_millis(10),
-            samples: vec![ActivitySample {
-                memory: Bytes::new(1),
-                io_ops: 0.0,
-            }],
-        };
-        assert!(write_activity(&record, Vec::new()).is_err());
     }
 
     #[test]

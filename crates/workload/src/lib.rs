@@ -5,8 +5,6 @@
 //! ten named traces (`SPEC-Trace-1..5`, `App-Trace-1..5`), synthetic
 //! adversarial workloads, and a plain-text trace interchange format.
 //!
-//! * [`activity`] — the paper's per-10 ms activity records (§3.1/§3.3.2)
-//!   with record/replay round-tripping.
 //! * [`catalog`] — [`ProgramSpec`] with phase-shaped
 //!   memory profiles and jittered instantiation.
 //! * [`spec2000`] — workload group 1 (Table 1 reconstruction).
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod activity;
 pub mod apps;
 pub mod arrival;
 pub mod catalog;
@@ -42,9 +39,8 @@ pub mod spec2000;
 pub mod synth;
 pub mod trace;
 
-pub use activity::{ActivityRecord, ActivitySample, PAPER_INTERVAL};
-pub use arrival::{BurstyArrivals, DiurnalArrivals, LognormalArrivals, PoissonArrivals};
+pub use arrival::{BurstyArrivals, LognormalArrivals, PoissonArrivals};
 pub use catalog::{PhaseShape, ProgramSpec};
-pub use csv::{read_activity, read_trace, write_activity, write_trace, ReadTraceError};
+pub use csv::{read_trace, write_trace, ReadTraceError};
 pub use scale::ScaleSpec;
 pub use trace::{app_trace, spec_trace, Trace, TraceLevel, DEFAULT_JITTER};

@@ -6,8 +6,10 @@
 //!   the report is bit-identical with and without them;
 //! * trace bytes are a pure function of (plan, seed): byte-identical
 //!   across reruns, across concurrent execution, and report bytes are
-//!   byte-identical across `--jobs` worker counts on the runner.
+//!   byte-identical across `--jobs` worker counts on the runner;
+//! * a job's pending-queue and transit spans never overlap.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
@@ -129,4 +131,44 @@ fn report_bytes_identical_across_runner_worker_counts() {
     // also pins events_processed/drained across worker counts.
     assert!(serial[0].contains("\"run_stats\":"));
     assert!(serial[0].contains("\"drained\":true"));
+}
+
+#[test]
+fn pending_and_transit_spans_never_overlap() {
+    // `vrecon trace app --level 1 --nodes 8`, the run CI's trace smoke test
+    // exports: App-Trace-1 on eight cluster-2 nodes under V-R.
+    let trace = app_trace(TraceLevel::Light, &mut SimRng::seed_from(42));
+    let config = SimConfig::new(small_cluster(), PolicyKind::VReconfiguration).with_seed(7);
+    let (_, data) = Simulation::new(config).run_traced(&trace);
+    // The run must leave the queue by remote submission and bounce jobs
+    // from transit back into the queue, or the check below is vacuous.
+    let mut last_kind: BTreeMap<u64, &str> = BTreeMap::new();
+    let (mut queue_to_transit, mut transit_to_queue) = (0usize, 0usize);
+    for r in &data.records {
+        let Some(job) = r.job else { continue };
+        match (last_kind.insert(job, r.kind), r.kind) {
+            (Some("blocked"), "transit-started") => queue_to_transit += 1,
+            (Some("transit-started"), "blocked") => transit_to_queue += 1,
+            _ => {}
+        }
+    }
+    assert!(queue_to_transit > 0, "no blocked -> transit-started step");
+    assert!(transit_to_queue > 0, "no transit-started -> blocked step");
+
+    let mut transits: BTreeMap<u64, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    for s in data.spans.iter().filter(|s| s.name == "transit") {
+        let job = s.job.expect("transit spans belong to a job");
+        transits.entry(job).or_default().push((s.start, s.end));
+    }
+    for p in data.spans.iter().filter(|s| s.name == "pending") {
+        let job = p.job.expect("pending spans belong to a job");
+        for &(start, end) in transits.get(&job).into_iter().flatten() {
+            assert!(
+                p.end <= start || end <= p.start,
+                "job {job}: pending {}..{} overlaps transit {start}..{end}",
+                p.start,
+                p.end
+            );
+        }
+    }
 }
