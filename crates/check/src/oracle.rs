@@ -27,7 +27,7 @@
 //!   `cpu.rs` / `memory.rs`), re-stated here operation-for-operation so the
 //!   two implementations agree bit-for-bit where they should.
 //!
-//! Everything the engine models is in scope: network RAM (the
+//! Nearly everything the engine models is in scope: network RAM (the
 //! remote-backing stall scale is re-derived at every snapshot refresh,
 //! mirroring the engine's pass), thrashing protection (the shared
 //! redistribution formula is applied to independently computed raw stalls,
@@ -35,7 +35,9 @@
 //! `Workstation::segment_rates`), and the plugin families — malleable
 //! resize directives are restated from the policy's documented selection
 //! rules, and fractional slot caps are re-derived from the parameter bag at
-//! construction.
+//! construction. Two modes are not modelled yet and are refused rather than
+//! silently replaced by the defaults: [`PlacementMode::CommitAware`] and
+//! [`LoadInfoMode::Staggered`].
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
 use vr_cluster::memory::FaultModel;
@@ -48,7 +50,7 @@ use vr_metrics::summary::WorkloadSummary;
 use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_workload::trace::Trace;
-use vrecon::config::{PendingDiscipline, ReservingEnd, SimConfig};
+use vrecon::config::{LoadInfoMode, PendingDiscipline, PlacementMode, ReservingEnd, SimConfig};
 use vrecon::policy::{FractionalParams, MalleableParams, PolicyKind};
 use vrecon::report::{RunReport, SchedulerCounters};
 use vrecon::reservation::ReservationStats;
@@ -516,9 +518,11 @@ struct Oracle {
 /// # Errors
 ///
 /// Returns an error if the config or trace fails validation (including an
-/// unbuildable policy parameter bag). Network RAM, thrashing protection,
-/// and the malleable/fractional plugin families are all modelled — the
-/// oracle re-derives each from the config exactly where the engine does.
+/// unbuildable policy parameter bag), or if the config asks for
+/// [`PlacementMode::CommitAware`] or [`LoadInfoMode::Staggered`], which the
+/// oracle does not model. Network RAM, thrashing protection, and the
+/// malleable/fractional plugin families are all modelled — the oracle
+/// re-derives each from the config exactly where the engine does.
 pub fn run_oracle(
     config: &SimConfig,
     trace: &Trace,
@@ -526,6 +530,18 @@ pub fn run_oracle(
 ) -> Result<RunReport, String> {
     config.validate()?;
     trace.validate()?;
+    if config.placement != PlacementMode::Optimistic {
+        return Err(format!(
+            "the oracle models only optimistic placement, not {:?}",
+            config.placement
+        ));
+    }
+    if config.load_info != LoadInfoMode::Global {
+        return Err(format!(
+            "the oracle models only the global load exchange, not {:?}",
+            config.load_info
+        ));
+    }
     // Re-derive the plugin families' tunables from the parameter bag the
     // same way `SimConfig::validate` proved them buildable; the behaviour
     // they drive is restated below, not delegated.
@@ -1808,6 +1824,22 @@ mod tests {
                 "{policy}: scenario never paged"
             );
         }
+    }
+
+    #[test]
+    fn oracle_refuses_commit_aware_placement() {
+        let (config, trace) = blocking_pair(PolicyKind::GLoadSharing, false);
+        let config = config.with_placement(PlacementMode::CommitAware);
+        let err = run_oracle(&config, &trace, OracleSkew::None).unwrap_err();
+        assert!(err.contains("CommitAware"), "{err}");
+    }
+
+    #[test]
+    fn oracle_refuses_staggered_load_info() {
+        let (config, trace) = blocking_pair(PolicyKind::GLoadSharing, false);
+        let config = config.with_load_info(LoadInfoMode::Staggered { groups: 2 });
+        let err = run_oracle(&config, &trace, OracleSkew::None).unwrap_err();
+        assert!(err.contains("Staggered"), "{err}");
     }
 
     #[test]

@@ -163,6 +163,31 @@ impl ResultCache {
         report: &RunReport,
         pause: &(dyn Fn() + Sync),
     ) -> Result<(), (PathBuf, std::io::Error)> {
+        if self.dir.is_none() {
+            // Disabled: skip the encode as well as the write.
+            return Ok(());
+        }
+        self.write_text(hash, &encode_report(report), pause)
+    }
+
+    /// Stores a report already encoded by [`vrecon::encode_report`], for
+    /// callers that need the text themselves (the `vr-serve` worker sends
+    /// it on the wire) and so encode once.
+    ///
+    /// # Errors
+    ///
+    /// Returns the failing path and I/O error, as [`ResultCache::store`].
+    pub fn store_text(&self, hash: &str, text: &str) -> Result<(), (PathBuf, std::io::Error)> {
+        self.write_text(hash, text, &|| {})
+    }
+
+    /// The one write path every store takes: temp file, `pause`, rename.
+    fn write_text(
+        &self,
+        hash: &str,
+        text: &str,
+        pause: &(dyn Fn() + Sync),
+    ) -> Result<(), (PathBuf, std::io::Error)> {
         let Some(path) = self.path_for(hash) else {
             return Ok(());
         };
@@ -175,7 +200,7 @@ impl ResultCache {
         // file.
         let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dir.join(format!("{hash}.tmp.{}.{seq}", std::process::id()));
-        std::fs::write(&tmp, encode_report(report)).map_err(|e| (tmp.clone(), e))?;
+        std::fs::write(&tmp, text).map_err(|e| (tmp.clone(), e))?;
         pause();
         std::fs::rename(&tmp, &path).map_err(|e| (path.clone(), e))
     }
@@ -239,7 +264,10 @@ mod tests {
                 corrupt_entries: 0
             }
         );
-        // The raw bytes are exactly what was stored.
+        // The raw bytes are exactly what was stored, and storing the
+        // encoded text writes the same bytes as storing the report.
+        assert_eq!(cache.lookup_raw("abc").unwrap(), encode_report(&report));
+        cache.store_text("abc", &encode_report(&report)).unwrap();
         assert_eq!(cache.lookup_raw("abc").unwrap(), encode_report(&report));
         // No stray temp files survive the atomic write.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -293,6 +321,7 @@ mod tests {
         let cache = ResultCache::disabled();
         let report = small_report();
         cache.store("xyz", &report).unwrap();
+        cache.store_text("xyz", &encode_report(&report)).unwrap();
         assert!(cache.lookup("xyz").is_none());
         assert!(cache.lookup_raw("xyz").is_none());
         assert_eq!(cache.path_for("xyz"), None);

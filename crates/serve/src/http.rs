@@ -15,6 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 /// Maximum accepted size of the request line plus headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -201,13 +202,14 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers (name, value), e.g. `X-Vrecon-Outcome`.
     pub headers: Vec<(String, String)>,
-    /// Response body.
-    pub body: String,
+    /// Response body. Shared, so a cached report goes out on the wire
+    /// without being copied into each response.
+    pub body: Arc<str>,
 }
 
 impl Response {
     /// A `text/plain` response with no extra headers.
-    pub fn text(status: u16, reason: &'static str, body: impl Into<String>) -> Response {
+    pub fn text(status: u16, reason: &'static str, body: impl Into<Arc<str>>) -> Response {
         Response {
             status,
             reason,
@@ -217,8 +219,9 @@ impl Response {
         }
     }
 
-    /// An `application/json` response with no extra headers.
-    pub fn json(status: u16, reason: &'static str, body: impl Into<String>) -> Response {
+    /// An `application/json` response with no extra headers. Passing an
+    /// `Arc<str>` shares the body; a `&str` or `String` is copied once.
+    pub fn json(status: u16, reason: &'static str, body: impl Into<Arc<str>>) -> Response {
         Response {
             status,
             reason,

@@ -411,9 +411,10 @@ fn handle_run(state: &Arc<ServeState>, body: &str) -> (Response, Outcome) {
         Counters::bump(&state.counters.hot_hits);
         return (ok_report(&hash, Outcome::Hot, &cached), Outcome::Hot);
     }
-    if let Some(text) = state.cache.lookup_raw(&hash) {
+    if let Some(mut text) = state.cache.lookup_raw(&hash) {
         Counters::bump(&state.counters.disk_hits);
-        let body = Arc::new(format!("{text}\n"));
+        text.push('\n');
+        let body: Arc<str> = Arc::from(text);
         state.hot.put(&hash, Arc::clone(&body));
         return (ok_report(&hash, Outcome::Disk, &body), Outcome::Disk);
     }
@@ -463,8 +464,9 @@ fn handle_run(state: &Arc<ServeState>, body: &str) -> (Response, Outcome) {
     }
 }
 
-fn ok_report(hash: &str, outcome: Outcome, body: &Arc<String>) -> Response {
-    Response::json(200, "OK", body.as_str())
+/// A 200 carrying a cached report; the body is shared, not copied.
+fn ok_report(hash: &str, outcome: Outcome, body: &Arc<str>) -> Response {
+    Response::json(200, "OK", Arc::clone(body))
         .with_header("X-Vrecon-Outcome", outcome.as_str())
         .with_header("X-Vrecon-Hash", hash)
 }
@@ -495,11 +497,13 @@ fn worker_loop(state: &Arc<ServeState>) {
         let result = match outcome {
             Ok(report) => {
                 Counters::bump(&state.counters.sims_executed);
-                let text = encode_report(&report);
+                // Encoded once: the same text is stored and sent.
+                let mut text = encode_report(&report);
                 // A failed store is a cold next restart, not a failed
                 // request — the bytes still go out on the wire.
-                let _ = state.cache.store(&job.hash, &report);
-                let body = Arc::new(format!("{text}\n"));
+                let _ = state.cache.store_text(&job.hash, &text);
+                text.push('\n');
+                let body: Arc<str> = Arc::from(text);
                 state.hot.put(&job.hash, Arc::clone(&body));
                 Ok(body)
             }

@@ -54,8 +54,10 @@ impl Counters {
 }
 
 /// The in-memory hot tier: the most recently used response bodies, keyed
-/// by scenario content hash. Bodies are `Arc<String>` so a hit hands out
-/// a reference instead of copying a multi-KB report under the lock.
+/// by scenario content hash. A body is one `Arc<str>` shared by the tier,
+/// the in-flight [`Slot`] that produced it and every response that sends
+/// it, so a hit hands out a reference and copies none of the report, under
+/// the lock or on the way to the socket.
 #[derive(Debug)]
 pub struct HotTier {
     cap: usize,
@@ -67,7 +69,7 @@ struct HotInner {
     /// Recency stamp source; bumped on every touch.
     seq: u64,
     /// hash → (recency stamp, body).
-    by_hash: BTreeMap<String, (u64, Arc<String>)>,
+    by_hash: BTreeMap<String, (u64, Arc<str>)>,
     /// recency stamp → hash, for O(log n) victim selection.
     order: BTreeMap<u64, String>,
 }
@@ -82,7 +84,7 @@ impl HotTier {
     }
 
     /// Looks a hash up, refreshing its recency on hit.
-    pub fn get(&self, hash: &str) -> Option<Arc<String>> {
+    pub fn get(&self, hash: &str) -> Option<Arc<str>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.seq += 1;
         let stamp = inner.seq;
@@ -96,7 +98,7 @@ impl HotTier {
 
     /// Inserts (or refreshes) a body, evicting the least recently used
     /// entry when full.
-    pub fn put(&self, hash: &str, body: Arc<String>) {
+    pub fn put(&self, hash: &str, body: Arc<str>) {
         if self.cap == 0 {
             return;
         }
@@ -136,20 +138,20 @@ impl HotTier {
 /// waiting on it (the leader included).
 #[derive(Debug, Default)]
 pub struct Slot {
-    done: Mutex<Option<Result<Arc<String>, String>>>,
+    done: Mutex<Option<Result<Arc<str>, String>>>,
     cv: Condvar,
 }
 
 impl Slot {
     /// Publishes the outcome and wakes every waiter.
-    pub fn fill(&self, outcome: Result<Arc<String>, String>) {
+    pub fn fill(&self, outcome: Result<Arc<str>, String>) {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         *done = Some(outcome);
         self.cv.notify_all();
     }
 
     /// Blocks until the outcome is published.
-    pub fn wait(&self) -> Result<Arc<String>, String> {
+    pub fn wait(&self) -> Result<Arc<str>, String> {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(outcome) = done.as_ref() {
@@ -242,30 +244,30 @@ mod tests {
     #[test]
     fn hot_tier_evicts_least_recently_used() {
         let tier = HotTier::new(2);
-        tier.put("a", Arc::new("A".to_owned()));
-        tier.put("b", Arc::new("B".to_owned()));
+        tier.put("a", Arc::from("A"));
+        tier.put("b", Arc::from("B"));
         // Touch `a` so `b` is the LRU victim.
-        assert_eq!(tier.get("a").unwrap().as_str(), "A");
-        tier.put("c", Arc::new("C".to_owned()));
+        assert_eq!(tier.get("a").as_deref(), Some("A"));
+        tier.put("c", Arc::from("C"));
         assert_eq!(tier.len(), 2);
         assert!(tier.get("b").is_none(), "b should have been evicted");
-        assert_eq!(tier.get("a").unwrap().as_str(), "A");
-        assert_eq!(tier.get("c").unwrap().as_str(), "C");
+        assert_eq!(tier.get("a").as_deref(), Some("A"));
+        assert_eq!(tier.get("c").as_deref(), Some("C"));
     }
 
     #[test]
     fn hot_tier_put_refreshes_existing_key() {
         let tier = HotTier::new(2);
-        tier.put("a", Arc::new("A1".to_owned()));
-        tier.put("a", Arc::new("A2".to_owned()));
+        tier.put("a", Arc::from("A1"));
+        tier.put("a", Arc::from("A2"));
         assert_eq!(tier.len(), 1);
-        assert_eq!(tier.get("a").unwrap().as_str(), "A2");
+        assert_eq!(tier.get("a").as_deref(), Some("A2"));
     }
 
     #[test]
     fn zero_capacity_tier_stores_nothing() {
         let tier = HotTier::new(0);
-        tier.put("a", Arc::new("A".to_owned()));
+        tier.put("a", Arc::from("A"));
         assert!(tier.is_empty());
         assert!(tier.get("a").is_none());
     }
@@ -284,10 +286,7 @@ mod tests {
         assert!(matches!(inflight.try_admit("h2"), Admission::Follower(_)));
         assert_eq!(inflight.len(), 2);
         // Finishing h1 frees a seat.
-        inflight
-            .finish("h1")
-            .unwrap()
-            .fill(Ok(Arc::new(String::new())));
+        inflight.finish("h1").unwrap().fill(Ok(Arc::from("")));
         first.wait().unwrap();
         assert!(matches!(inflight.try_admit("h3"), Admission::Leader(_)));
     }
@@ -301,12 +300,12 @@ mod tests {
                 std::thread::spawn(move || slot.wait())
             })
             .collect();
-        slot.fill(Ok(Arc::new("body".to_owned())));
+        slot.fill(Ok(Arc::from("body")));
         for w in waiters {
-            assert_eq!(w.join().unwrap().unwrap().as_str(), "body");
+            assert_eq!(w.join().unwrap().as_deref(), Ok("body"));
         }
         // Late waiters see the result immediately.
-        assert_eq!(slot.wait().unwrap().as_str(), "body");
+        assert_eq!(slot.wait().as_deref(), Ok("body"));
     }
 
     #[test]

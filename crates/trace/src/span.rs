@@ -31,9 +31,11 @@ pub struct TraceSpan {
 /// - `"pending"`: `blocked` / `requeued` → next `placed` or transit start
 ///   (the engine stops charging queue time when the job leaves the queue)
 /// - `"transit"`: `transit-started` / `migration-started` /
-///   `special-service-started` → next `placed`, `migration-failed`,
-///   `blocked` or `requeued` (a stale bounce at the destination or an
-///   abandoned transfer puts the job back in the pending queue)
+///   `special-service-started` → next `placed`, `blocked` or `requeued`
+///   (a stale bounce at the destination or an abandoned transfer puts the
+///   job back in the pending queue). A `migration-failed` record does not
+///   close it: the job stays on the wire through the retry backoff, and
+///   only an exhausted retry budget re-queues it.
 /// - `"suspend"`: `suspended` → `resumed`
 /// - `"reservation"` (per node): `reservation-began` →
 ///   `reservation-released`, LIFO when nested
@@ -97,11 +99,6 @@ pub fn derive_spans(records: &[TraceRecord], final_time: SimTime) -> Vec<TraceSp
                 if let Some(start) = pending_open.remove(&j) {
                     close(&mut spans, "pending", start, r.time, Some(j), node);
                 }
-                if let Some(start) = transit_open.remove(&j) {
-                    close(&mut spans, "transit", start, r.time, Some(j), node);
-                }
-            }
-            ("migration-failed", Some(j), node) => {
                 if let Some(start) = transit_open.remove(&j) {
                     close(&mut spans, "transit", start, r.time, Some(j), node);
                 }
@@ -208,21 +205,35 @@ mod tests {
 
     #[test]
     fn transit_closes_on_placement_or_failure() {
+        // Job 1's migration fails, is retried and lands; job 3's fails
+        // until its retries run out and it is re-queued. A failure alone
+        // closes nothing: the job is still in transit while it backs off.
         let records = [
             rec(1, "migration-started", Some(1), Some(0)),
             rec(2, "migration-failed", Some(1), Some(3)),
+            rec(3, "migration-started", Some(3), Some(0)),
             rec(4, "transit-started", Some(2), Some(0)),
+            rec(5, "placed", Some(1), Some(3)),
             rec(6, "placed", Some(2), Some(1)),
+            rec(7, "migration-failed", Some(3), Some(2)),
+            rec(8, "requeued", Some(3), Some(2)),
         ];
         let spans = derive_spans(&records, SimTime::from_secs(10));
-        let names: Vec<_> = spans.iter().map(|s| (s.name, s.job)).collect();
+        let intervals: Vec<_> = spans
+            .iter()
+            .map(|s| (s.name, s.job, s.start, s.end))
+            .collect();
+        let t = SimTime::from_secs;
         assert_eq!(
-            names,
-            vec![("transit", Some(1)), ("transit", Some(2))],
+            intervals,
+            vec![
+                ("transit", Some(1), t(1), t(5)),
+                ("transit", Some(3), t(3), t(8)),
+                ("transit", Some(2), t(4), t(6)),
+                ("pending", Some(3), t(8), t(10)),
+            ],
             "{spans:?}"
         );
-        assert_eq!(spans[0].end, SimTime::from_secs(2));
-        assert_eq!(spans[1].end, SimTime::from_secs(6));
     }
 
     #[test]

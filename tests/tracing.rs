@@ -7,11 +7,14 @@
 //! * trace bytes are a pure function of (plan, seed): byte-identical
 //!   across reruns, across concurrent execution, and report bytes are
 //!   byte-identical across `--jobs` worker counts on the runner;
-//! * a job's pending-queue and transit spans never overlap.
+//! * a job's pending-queue and transit spans never overlap;
+//! * transit spans cover a job's whole time on the wire, failed and
+//!   retried attempts included.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use vr_faults::FaultPlan;
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
 use vr_trace::{chrome_trace, jsonl, TraceData};
 use vrecon::report_json::encode_report;
@@ -171,4 +174,59 @@ fn pending_and_transit_spans_never_overlap() {
             );
         }
     }
+}
+
+#[test]
+fn transit_spans_cover_retried_migrations() {
+    // App-Trace-1 on eight cluster-2 nodes under V-R, with each migration
+    // attempt failing in transit with probability 0.5.
+    let trace = app_trace(TraceLevel::Light, &mut SimRng::seed_from(42));
+    let config = SimConfig::new(small_cluster(), PolicyKind::VReconfiguration)
+        .with_seed(7)
+        .with_faults(FaultPlan::none().with_migration_failures(0.5));
+    let (_, data) = Simulation::new(config).run_traced(&trace);
+
+    // In-transit time read straight off the records: a job is on the wire
+    // from a transit start until it is placed, bounced back to the queue
+    // or re-queued. A failed attempt that is retried leaves it on the wire.
+    let mut on_wire: BTreeMap<u64, SimTime> = BTreeMap::new();
+    let mut in_transit_us = 0u64;
+    let mut failures = 0usize;
+    for r in &data.records {
+        let Some(job) = r.job else { continue };
+        match r.kind {
+            "transit-started" | "migration-started" | "special-service-started" => {
+                on_wire.entry(job).or_insert(r.time);
+            }
+            "placed" | "blocked" | "requeued" => {
+                if let Some(start) = on_wire.remove(&job) {
+                    in_transit_us += (r.time - start).as_micros();
+                }
+            }
+            "migration-failed" => failures += 1,
+            _ => {}
+        }
+    }
+    for start in on_wire.into_values() {
+        in_transit_us += (data.final_time - start).as_micros();
+    }
+    // Some failures must be retried rather than re-queued, or the check
+    // below is vacuous.
+    let requeued = data.records.iter().filter(|r| r.kind == "requeued").count();
+    assert!(
+        failures > requeued,
+        "no failed migration was retried ({failures} failures, {requeued} re-queues)"
+    );
+
+    let span_us: u64 = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "transit")
+        .map(|s| (s.end - s.start).as_micros())
+        .sum();
+    assert!(in_transit_us > 0);
+    assert_eq!(
+        span_us, in_transit_us,
+        "transit spans cover {span_us} µs of {in_transit_us} µs in transit"
+    );
 }
