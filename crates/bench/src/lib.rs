@@ -16,13 +16,14 @@
 //! | `ablation`    | §2.2/§2.3 — negative conditions & design ablations |
 //! | `experiments` | everything above, as markdown |
 //!
-//! Beyond the paper's evaluation, `engine_bench` replays the five trace
-//! levels under V-Reconfiguration, plus the malleable and fractional
-//! families on the Normal trace, into the seven rows of the gated
-//! `BENCH_engine.json` baseline; `scale_bench` measures a nodes × jobs grid
-//! (up to 10,000 nodes / 1,000,000 jobs) into the gated `BENCH_scale.json`
-//! baseline; and `robustness` sweeps fault intensities with the invariant
-//! auditor on.
+//! Beyond the paper's evaluation, two binaries share one bench gate
+//! ([`gate`]): `engine_bench` replays the five trace levels under
+//! V-Reconfiguration, plus the malleable and fractional families on the
+//! Normal trace, into the seven rows of `BENCH_engine.json`, and
+//! `scale_bench` measures a nodes × jobs grid (up to 10,000 nodes /
+//! 1,000,000 jobs) into the three rows of `BENCH_scale.json`. Both take
+//! `--out FILE` and `--check FILE`. `robustness` sweeps fault intensities
+//! with the invariant auditor on.
 //!
 //! The overhead claim ("the adaptive process causes little additional
 //! overhead") rests on the per-scenario `wall_secs` of both policies in
@@ -32,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod gate;
 pub mod paper;
 pub mod render;
 

@@ -12,7 +12,7 @@ use vr_lint::{analyze_workspace, workspace_root, Format};
 use vr_metrics::comparison::MetricComparison;
 use vr_metrics::table::{fmt_f, TextTable};
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
-use vr_serve::{check_against, run_loadgen, JsonlRequestLog, LoadgenConfig, ServeConfig};
+use vr_serve::{run_loadgen, JsonlRequestLog, LoadgenConfig, ServeConfig};
 use vr_simcore::rng::SimRng;
 use vr_workload::trace::{
     app_trace_scaled, spec_trace_scaled, Trace, TraceLevel, APP_LIFETIME_SCALE, SPEC_LIFETIME_SCALE,
@@ -53,7 +53,6 @@ USAGE:
                  [--max-conns N] [--request-log FILE]
   vrecon loadgen [--addr HOST:PORT] [--specs N] [--warm N] [--concurrency N]
                  [--seed N] [--followers N] [--heavy-jobs N] [--out FILE]
-                 [--check BASELINE] [--tolerance T]
   vrecon spec    [--seed N] [--iter N] [--out FILE]
 
 POLICIES: none | random | cpu | weighted | gls | suspend | vrecon, or any
@@ -132,10 +131,8 @@ horizon, and always audits); `--report-out FILE` writes the canonical
 report encoding — the exact bytes `serve` returns for that spec.
 
 `loadgen` drives a running `serve` instance through cold / warm /
-coalesce / overload phases and prints the BENCH_serve.json document
-(`--out FILE` writes it instead); with `--check BASELINE` it compares
-against a committed baseline — phase counters exactly, warm-phase QPS
-and p99 within `--tolerance` (default 0.9).
+coalesce / overload phases and prints a JSON document of phase counters
+and latencies (`--out FILE` writes it instead).
 ";
 
 fn parse_level(raw: &str) -> Result<TraceLevel, ArgError> {
@@ -1060,7 +1057,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `vrecon loadgen` — drive a running serve instance through the phased
-/// benchmark; print, write, or baseline-check the resulting document.
+/// benchmark; print or write the resulting document.
 pub fn loadgen(args: &Args) -> Result<String, ArgError> {
     let mut config = LoadgenConfig::default();
     if let Some(addr) = args.opt("addr") {
@@ -1092,50 +1089,14 @@ pub fn loadgen(args: &Args) -> Result<String, ArgError> {
     if let Some(n) = args.opt_parse::<usize>("heavy-jobs")? {
         config.heavy_jobs = n;
     }
-    // Resolve and load the baseline before generating any load, so a
-    // typo'd path fails fast instead of after a minutes-long run.
-    let tolerance = args.opt_parse::<f64>("tolerance")?.unwrap_or(0.9);
-    if !(0.0..1.0).contains(&tolerance) {
-        return Err(ArgError(format!(
-            "--tolerance must be in [0, 1), got {tolerance}"
-        )));
-    }
-    let baseline = match args.opt("check") {
+    let text = run_loadgen(&config).map_err(ArgError)?.render();
+    match args.opt("out") {
         Some(path) => {
-            let raw = std::fs::read_to_string(path)
-                .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-            let doc = vr_simcore::jsonio::Json::parse(&raw)
-                .map_err(|e| ArgError(format!("{path} is not valid JSON: {e}")))?;
-            Some((path, doc))
+            std::fs::write(path, format!("{text}\n"))
+                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+            Ok(format!("loadgen: wrote {path}"))
         }
-        None if args.opt("tolerance").is_some() => {
-            return Err(ArgError("--tolerance requires --check".to_owned()))
-        }
-        None => None,
-    };
-    let doc = run_loadgen(&config).map_err(ArgError)?;
-    let mut text = doc.render();
-    text.push('\n');
-    let mut notes = Vec::new();
-    if let Some(path) = args.opt("out") {
-        std::fs::write(path, &text).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        notes.push(format!("wrote {path}"));
-    }
-    if let Some((path, baseline)) = baseline {
-        check_against(&baseline, &doc, tolerance).map_err(|e| {
-            ArgError(format!(
-                "loadgen baseline check against {path} failed:\n{e}"
-            ))
-        })?;
-        notes.push(format!(
-            "baseline check passed against {path} (tolerance {tolerance})"
-        ));
-    }
-    if notes.is_empty() {
-        // No sink requested: the document itself is the output.
-        Ok(text.trim_end().to_owned())
-    } else {
-        Ok(format!("loadgen: {}", notes.join("; ")))
+        None => Ok(text),
     }
 }
 
@@ -1625,7 +1586,5 @@ mod tests {
     fn loadgen_rejects_bad_flags_before_touching_the_network() {
         assert!(loadgen(&args(&["--addr", "not-an-addr"])).is_err());
         assert!(loadgen(&args(&["--specs", "0"])).is_err());
-        let err = loadgen(&args(&["--addr", "127.0.0.1:1", "--tolerance", "0.5"])).unwrap_err();
-        assert!(err.0.contains("requires --check"), "{}", err.0);
     }
 }

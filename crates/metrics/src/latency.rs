@@ -2,7 +2,7 @@
 //!
 //! `vrecon loadgen` measures per-request wall-clock latencies against a
 //! running `vrecon serve` instance and reduces them here into the figures
-//! reported in `BENCH_serve.json`: p50/p99 milliseconds, mean, max, and
+//! reported in its document: p50/p99 milliseconds, mean, max, and
 //! queries per second. Percentiles use the same interpolated-rank
 //! convention as every other distribution in the workspace
 //! ([`vr_simcore::stats::percentile`]), so a serve latency table reads

@@ -15,7 +15,7 @@
 //! * [`throughput`] — [`ThroughputSummary`]: simulator events/second
 //!   accounting for the experiment runner's sweep telemetry.
 //! * [`latency`] — [`LatencySummary`]: request-latency percentiles and
-//!   QPS for the `vrecon serve` load generator's `BENCH_serve.json`.
+//!   QPS for the `vrecon serve` load generator's document.
 //!
 //! ```
 //! use vr_metrics::comparison::MetricComparison;

@@ -57,13 +57,14 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Simulator events replayed per wall-clock second (`0.0` for cache
-    /// hits, whose wall time measures only the decode).
+    /// Simulator events replayed (`run_stats.events_processed`) per
+    /// wall-clock second (`0.0` for cache hits, whose wall time measures
+    /// only the decode).
     pub fn events_per_sec(&self) -> f64 {
         if self.cache_hit || self.wall.is_zero() {
             0.0
         } else {
-            self.report.events.entries().len() as f64 / self.wall.as_secs_f64()
+            self.report.run_stats.events_processed as f64 / self.wall.as_secs_f64()
         }
     }
 }
@@ -226,7 +227,7 @@ impl Runner {
 }
 
 /// Schema version of the `BENCH_sweep.json` document.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Renders a machine-readable benchmark document for a finished sweep:
 /// matrix shape, wall/busy time, measured speedup versus sequential, cache
@@ -238,7 +239,7 @@ pub fn bench_json(outcome: &SweepOutcome) -> Json {
             .iter()
             .flatten()
             .filter(|r| !r.cache_hit)
-            .map(|r| (r.report.events.entries().len() as u64, r.wall.as_secs_f64())),
+            .map(|r| (r.report.run_stats.events_processed, r.wall.as_secs_f64())),
     );
     let scenarios = outcome
         .results
@@ -250,8 +251,8 @@ pub fn bench_json(outcome: &SweepOutcome) -> Json {
                 ("wall_secs", Json::f64(r.wall.as_secs_f64())),
                 ("cache_hit", Json::Bool(r.cache_hit)),
                 (
-                    "sim_events",
-                    Json::U64(r.report.events.entries().len() as u64),
+                    "engine_events",
+                    Json::U64(r.report.run_stats.events_processed),
                 ),
                 ("events_per_sec", Json::f64(r.events_per_sec())),
                 ("avg_slowdown", Json::f64(r.report.avg_slowdown())),
@@ -378,7 +379,10 @@ mod tests {
         let plan = plan(2);
         let outcome = Runner::uncached(1).run(&plan);
         let doc = bench_json(&outcome);
-        assert_eq!(doc.get("schema").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            doc.get("schema").unwrap().as_u64(),
+            Some(BENCH_SCHEMA_VERSION)
+        );
         assert_eq!(
             doc.get("matrix")
                 .unwrap()
@@ -388,6 +392,13 @@ mod tests {
             Some(2)
         );
         assert_eq!(doc.get("jobs").unwrap().as_u64(), Some(1));
+        // Events are the engine's, not the scheduler log's records.
+        let scenarios = doc.get("scenarios").unwrap().as_arr().unwrap();
+        for (entry, result) in scenarios.iter().zip(outcome.results.iter().flatten()) {
+            let events = result.report.run_stats.events_processed;
+            assert_ne!(events, result.report.events.entries().len() as u64);
+            assert_eq!(entry.get("engine_events").unwrap().as_u64(), Some(events));
+        }
         let rendered = doc.render();
         // The document round-trips through the parser.
         assert!(Json::parse(&rendered).is_ok());

@@ -23,7 +23,7 @@
 //! * [`hook`] — per-request structured records ([`RequestRecord`]) via
 //!   the same hook-seam pattern as `vr-trace`, with a JSONL sink.
 //! * [`client`] / [`loadgen`] — the blocking client and the phased load
-//!   generator behind `vrecon loadgen` and `BENCH_serve.json`.
+//!   generator behind `vrecon loadgen`.
 //! * [`clock`] — the only module allowed to read the wall clock
 //!   (enforced by `vrecon analyze`); everything else handles opaque
 //!   [`clock::Stopwatch`] values.
@@ -41,5 +41,5 @@ pub mod state;
 
 pub use client::{request, ClientResponse};
 pub use hook::{JsonlRequestLog, NullHook, Outcome, RequestHook, RequestRecord};
-pub use loadgen::{check_against, heavy_scenario, run_loadgen, LoadgenConfig};
+pub use loadgen::{heavy_scenario, run_loadgen, LoadgenConfig};
 pub use server::{start, ServeConfig, ServeState, ServerHandle};

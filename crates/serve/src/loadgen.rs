@@ -1,6 +1,6 @@
 //! The `vrecon loadgen` driver: exercises a running `vrecon serve`
 //! instance through deterministic phases and reduces the measurements
-//! into the `BENCH_serve.json` document.
+//! into one JSON document.
 //!
 //! Phases, in order:
 //!
@@ -16,8 +16,8 @@
 //!    from `/stats`) with distinct heavy scenarios, then POST one more:
 //!    it must be refused with 503.
 //!
-//! The phase counts are exact by construction, so `--check` compares
-//! them exactly; only latency and QPS are tolerance-gated.
+//! The phase counts are exact by construction; CI's `serve-smoke` job
+//! asserts them on the written document.
 
 use std::net::SocketAddr;
 use std::sync::{Mutex, PoisonError};
@@ -240,7 +240,7 @@ fn latency_json(summary: &LatencySummary) -> Json {
     ])
 }
 
-/// Runs every phase and returns the `BENCH_serve.json` document.
+/// Runs every phase and returns the loadgen document.
 ///
 /// # Errors
 ///
@@ -394,140 +394,9 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<Json, String> {
     ]))
 }
 
-/// Fields compared exactly by [`check_against`]: everything the phases
-/// make deterministic by construction.
-const EXACT_FIELDS: &[&str] = &[
-    "cold.sims_executed",
-    "cold.hits",
-    "warm.hits",
-    "warm.sims_executed",
-    "warm.hit_rate",
-    "coalesce.coalesced",
-    "coalesce.sims_executed",
-    "overload.overloads",
-    "server.corrupt_entries",
-];
-
-fn field<'a>(doc: &'a Json, dotted: &str) -> Option<&'a Json> {
-    dotted.split('.').try_fold(doc, |node, key| node.get(key))
-}
-
-/// Compares a fresh loadgen document against a committed baseline:
-/// deterministic counters must match exactly; warm-phase QPS may regress
-/// at most `tolerance` (fraction, e.g. `0.5` allows halving), and
-/// warm-phase p99 may grow by at most the reciprocal factor.
-///
-/// # Errors
-///
-/// A newline-separated list of every violated field.
-pub fn check_against(baseline: &Json, current: &Json, tolerance: f64) -> Result<(), String> {
-    let mut failures = Vec::new();
-    for dotted in EXACT_FIELDS {
-        let base = field(baseline, dotted).and_then(Json::as_f64);
-        let cur = field(current, dotted).and_then(Json::as_f64);
-        match (base, cur) {
-            (Some(b), Some(c)) => {
-                if (b - c).abs() > 1e-9 {
-                    failures.push(format!("{dotted}: baseline {b}, current {c}"));
-                }
-            }
-            _ => failures.push(format!("{dotted}: missing in baseline or current")),
-        }
-    }
-    let base_qps = field(baseline, "warm.latency.qps").and_then(Json::as_f64);
-    let cur_qps = field(current, "warm.latency.qps").and_then(Json::as_f64);
-    if let (Some(b), Some(c)) = (base_qps, cur_qps) {
-        let floor = b * (1.0 - tolerance);
-        if c < floor {
-            failures.push(format!(
-                "warm.latency.qps: {c:.1} below floor {floor:.1} (baseline {b:.1}, tolerance {tolerance})"
-            ));
-        }
-    } else {
-        failures.push("warm.latency.qps: missing in baseline or current".to_owned());
-    }
-    let base_p99 = field(baseline, "warm.latency.p99_ms").and_then(Json::as_f64);
-    let cur_p99 = field(current, "warm.latency.p99_ms").and_then(Json::as_f64);
-    if let (Some(b), Some(c)) = (base_p99, cur_p99) {
-        let ceiling = if tolerance < 1.0 {
-            b / (1.0 - tolerance)
-        } else {
-            f64::INFINITY
-        };
-        if c > ceiling {
-            failures.push(format!(
-                "warm.latency.p99_ms: {c:.2} above ceiling {ceiling:.2} (baseline {b:.2}, tolerance {tolerance})"
-            ));
-        }
-    } else {
-        failures.push("warm.latency.p99_ms: missing in baseline or current".to_owned());
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn doc(qps: f64, p99: f64, coalesced: u64) -> Json {
-        Json::obj([
-            (
-                "cold",
-                Json::obj([("sims_executed", Json::U64(32)), ("hits", Json::U64(0))]),
-            ),
-            (
-                "warm",
-                Json::obj([
-                    ("hits", Json::U64(256)),
-                    ("sims_executed", Json::U64(0)),
-                    ("hit_rate", Json::f64(1.0)),
-                    (
-                        "latency",
-                        Json::obj([("qps", Json::f64(qps)), ("p99_ms", Json::f64(p99))]),
-                    ),
-                ]),
-            ),
-            (
-                "coalesce",
-                Json::obj([
-                    ("coalesced", Json::U64(coalesced)),
-                    ("sims_executed", Json::U64(1)),
-                ]),
-            ),
-            ("overload", Json::obj([("overloads", Json::U64(1))])),
-            ("server", Json::obj([("corrupt_entries", Json::U64(0))])),
-        ])
-    }
-
-    #[test]
-    fn identical_documents_pass() {
-        let base = doc(500.0, 10.0, 8);
-        assert!(check_against(&base, &doc(500.0, 10.0, 8), 0.5).is_ok());
-    }
-
-    #[test]
-    fn qps_regression_within_tolerance_passes() {
-        let base = doc(500.0, 10.0, 8);
-        assert!(check_against(&base, &doc(300.0, 15.0, 8), 0.5).is_ok());
-    }
-
-    #[test]
-    fn qps_regression_past_tolerance_fails() {
-        let base = doc(500.0, 10.0, 8);
-        let err = check_against(&base, &doc(100.0, 10.0, 8), 0.5).unwrap_err();
-        assert!(err.contains("warm.latency.qps"), "{err}");
-    }
-
-    #[test]
-    fn deterministic_counter_drift_fails_exactly() {
-        let base = doc(500.0, 10.0, 8);
-        let err = check_against(&base, &doc(500.0, 10.0, 7), 0.5).unwrap_err();
-        assert!(err.contains("coalesce.coalesced"), "{err}");
-    }
 
     #[test]
     fn heavy_scenarios_differ_by_variant_only() {

@@ -41,7 +41,8 @@ impl TraceProfile {
         }
     }
 
-    /// Renders the profile as JSON (the `BENCH_profile.json` payload).
+    /// Renders the profile as JSON (what `vrecon trace --profile-out FILE`
+    /// writes).
     ///
     /// `wall_secs`, when provided by the caller that timed the run, adds
     /// derived wall-clock fields (`wall_secs`, `events_per_sec`) — the only
