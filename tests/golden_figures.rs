@@ -4,8 +4,8 @@
 //! truncated to 8 workstations, shortened SPEC traces) is replayed under
 //! G-Loadsharing and V-Reconfiguration and compared against checked-in CSV
 //! snapshots; every policy family's encoded report is pinned by digest, as
-//! are G-LS and V-R under thrashing protection and network RAM, and the
-//! blocking detector's counters by exact value. In debug builds every
+//! are G-LS and V-R under thrashing protection, network RAM and injected
+//! faults, and the blocking detector's counters by exact value. In debug builds every
 //! read of a node's cached memory demand is re-derived from its resident
 //! jobs, so this matrix also checks the incremental detector against a
 //! full rescan. The runs are deterministic, so drift here means scheduler
@@ -324,6 +324,88 @@ fn rate_variant_reports_are_byte_identical_and_each_variant_counts() {
         }
     }
     assert_digests_match("rate_digests.txt", &fresh);
+}
+
+/// Crashes, restarts and retried migrations change a node's future in the
+/// middle of a tick sweep. G-LS and V-R on the reduced Light trace
+/// reproduce the encoded reports whose fnv1a-128 digests are recorded in
+/// `tests/golden/fault_digests.txt`, plain, under each fault kind alone and
+/// under all four together. As with the rate variants, a faulted report
+/// must differ from the plain run, so a fault that stops firing fails here.
+/// The one exception is G-LS under a release stall: G-LS never reserves a
+/// node, so the stall must leave its report exactly as it was.
+#[test]
+fn fault_variant_reports_are_byte_identical_and_each_variant_counts() {
+    use vr_faults::FaultPlan;
+    use vr_simcore::hash::{fnv1a128, hex128};
+    use vrecon::plugin::entry;
+    use vrecon::report_json::encode_report;
+
+    let trace = spec_trace_scaled(
+        TraceLevel::Light,
+        &mut SimRng::seed_from(TRACE_SEED),
+        LIFETIME_SCALE,
+    );
+    let crash =
+        FaultPlan::none().with_crash(2, SimTime::from_secs(150), Some(SimSpan::from_secs(60)));
+    let stall = SimSpan::from_secs(2);
+    let variants = [
+        ("crash-restart", crash.clone()),
+        (
+            "migration-failure",
+            FaultPlan::none().with_migration_failures(0.3),
+        ),
+        ("load-info-loss", FaultPlan::none().with_load_info_loss(0.2)),
+        (
+            "reservation-stall",
+            FaultPlan::none().with_reservation_stall(stall),
+        ),
+        (
+            "all",
+            crash
+                .with_migration_failures(0.3)
+                .with_load_info_loss(0.2)
+                .with_reservation_stall(stall),
+        ),
+    ];
+    let mut fresh = String::from(
+        "# fnv1a-128 of the encoded report per policy and fault variant on the\n\
+         # reduced Light trace.\n\
+         # Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_figures`.\n",
+    );
+    for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
+        let digest = |plan: Option<&FaultPlan>, variant: &str| {
+            let mut config = SimConfig::new(reduced_cluster(), policy).with_seed(SCHED_SEED);
+            if let Some(plan) = plan {
+                config = config.with_faults(plan.clone());
+            }
+            let report = Simulation::new(config).run(&trace);
+            assert!(
+                report.all_completed(),
+                "{policy} {variant}: left jobs unfinished"
+            );
+            hex128(fnv1a128(encode_report(&report).as_bytes()))
+        };
+        let name = entry(policy).name;
+        let plain = digest(None, "plain");
+        writeln!(fresh, "{name} plain {plain}").unwrap();
+        for (variant, plan) in &variants {
+            let faulted = digest(Some(plan), variant);
+            if policy == PolicyKind::GLoadSharing && *variant == "reservation-stall" {
+                assert_eq!(
+                    faulted, plain,
+                    "{policy} {variant}: the stall changed the report"
+                );
+            } else {
+                assert_ne!(
+                    faulted, plain,
+                    "{policy} {variant}: the report equals the plain run's"
+                );
+            }
+            writeln!(fresh, "{name} {variant} {faulted}").unwrap();
+        }
+    }
+    assert_digests_match("fault_digests.txt", &fresh);
 }
 
 /// The reduced dataset preserves the paper's headline ordering: summed over
