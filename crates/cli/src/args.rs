@@ -99,6 +99,22 @@ impl Args {
         }
     }
 
+    /// Of the options given that are not in `options` and the flags given
+    /// that are not in `flags`, the name that sorts first, if any.
+    pub fn first_unknown(&self, options: &[&str], flags: &[&str]) -> Option<&str> {
+        let options = self
+            .options
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !options.contains(name));
+        let flags = self
+            .flags
+            .iter()
+            .map(String::as_str)
+            .filter(|name| !flags.contains(name));
+        options.chain(flags).min()
+    }
+
     /// Exactly one positional argument, or an error naming it.
     ///
     /// # Errors
@@ -169,6 +185,20 @@ mod tests {
         assert_eq!(
             parse(&["a"]).unwrap().single_positional("trace").unwrap(),
             "a"
+        );
+    }
+
+    #[test]
+    fn first_unknown_names_the_least_stray_option_or_flag() {
+        let a = parse(&["--seed", "1", "--zeta", "2", "--beta", "3", "--verbose"]).unwrap();
+        assert_eq!(a.first_unknown(&["seed"], &["verbose"]), Some("beta"));
+        assert_eq!(
+            a.first_unknown(&["seed", "beta", "zeta"], &[]),
+            Some("verbose")
+        );
+        assert_eq!(
+            a.first_unknown(&["seed", "beta", "zeta"], &["verbose"]),
+            None
         );
     }
 

@@ -1121,22 +1121,151 @@ pub fn spec(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-/// Dispatches a subcommand.
+/// A subcommand: its handler and every option and flag the handler reads.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<String, ArgError>,
+    /// Options that take a value.
+    options: &'static [&'static str],
+    /// Valueless flags.
+    flags: &'static [&'static str],
+}
+
+/// One row per subcommand. [`dispatch`] refuses any `--name` outside the
+/// subcommand's row before its handler does any work.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "gen",
+        run: gen,
+        options: &["group", "level", "seed", "scale", "out"],
+        flags: &[],
+    },
+    Command {
+        name: "inspect",
+        run: inspect,
+        options: &[],
+        flags: &[],
+    },
+    Command {
+        name: "run",
+        run,
+        options: &[
+            "cluster",
+            "nodes",
+            "policy",
+            "seed",
+            "placement",
+            "load-info",
+            "fault-plan",
+            "max-sim-time",
+            "trace-out",
+            "trace-format",
+            "spec",
+            "report-out",
+        ],
+        flags: &["netram", "csv", "log", "gantt", "audit"],
+    },
+    Command {
+        name: "compare",
+        run: compare,
+        options: &["cluster", "nodes", "seed"],
+        flags: &[],
+    },
+    Command {
+        name: "sweep",
+        run: sweep,
+        options: &["group", "seed", "trace-seed", "jobs"],
+        flags: &["no-cache"],
+    },
+    Command {
+        name: "trace",
+        run: trace,
+        options: &[
+            "level",
+            "policy",
+            "seed",
+            "trace-seed",
+            "nodes",
+            "max-sim-time",
+            "format",
+            "out",
+            "profile-out",
+        ],
+        flags: &[],
+    },
+    Command {
+        name: "analyze",
+        run: analyze,
+        options: &["root", "format", "sarif-out"],
+        flags: &[],
+    },
+    Command {
+        name: "fuzz",
+        run: fuzz,
+        options: &["iters", "seed", "jobs", "failures-dir"],
+        flags: &["broken-oracle"],
+    },
+    Command {
+        name: "serve",
+        run: serve,
+        options: &[
+            "addr",
+            "jobs",
+            "cache-dir",
+            "max-inflight",
+            "hot-cap",
+            "read-timeout-ms",
+            "max-conns",
+            "request-log",
+        ],
+        flags: &["no-cache"],
+    },
+    Command {
+        name: "loadgen",
+        run: loadgen,
+        options: &[
+            "addr",
+            "specs",
+            "warm",
+            "concurrency",
+            "seed",
+            "followers",
+            "heavy-jobs",
+            "out",
+        ],
+        flags: &[],
+    },
+    Command {
+        name: "spec",
+        run: spec,
+        options: &["seed", "iter", "out"],
+        flags: &[],
+    },
+];
+
+/// Every valueless flag some subcommand reads, plus `help`: the names
+/// [`Args::parse`] must not take a value for.
+pub fn flags() -> Vec<&'static str> {
+    let mut flags: Vec<&str> = COMMANDS.iter().flat_map(|c| c.flags).copied().collect();
+    flags.push("help");
+    flags.sort_unstable();
+    flags.dedup();
+    flags
+}
+
+/// Dispatches a subcommand, after checking that it reads every option and
+/// flag given.
 pub fn dispatch(subcommand: &str, args: &Args) -> Result<String, ArgError> {
-    match subcommand {
-        "gen" => gen(args),
-        "inspect" => inspect(args),
-        "run" => run(args),
-        "compare" => compare(args),
-        "sweep" => sweep(args),
-        "trace" => trace(args),
-        "analyze" => analyze(args),
-        "fuzz" => fuzz(args),
-        "serve" => serve(args),
-        "loadgen" => loadgen(args),
-        "spec" => spec(args),
-        other => Err(ArgError(format!("unknown subcommand {other}\n\n{USAGE}"))),
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == subcommand)
+        .ok_or_else(|| ArgError(format!("unknown subcommand {subcommand}\n\n{USAGE}")))?;
+    if let Some(name) = args.first_unknown(command.options, command.flags) {
+        return Err(ArgError(format!(
+            "vrecon {subcommand} does not take --{name}"
+        )));
     }
+    (command.run)(args)
 }
 
 #[cfg(test)]
@@ -1145,11 +1274,7 @@ mod tests {
     use vr_cluster::units::Bytes;
 
     fn args(tokens: &[&str]) -> Args {
-        Args::parse(
-            tokens.iter().copied(),
-            &["netram", "csv", "log", "audit", "no-cache", "broken-oracle"],
-        )
-        .unwrap()
+        Args::parse(tokens.iter().copied(), &flags()).unwrap()
     }
 
     #[test]
@@ -1507,6 +1632,51 @@ mod tests {
     fn dispatch_rejects_unknown() {
         let err = dispatch("frobnicate", &args(&[])).unwrap_err();
         assert!(err.0.contains("unknown subcommand"));
+        let err = dispatch("spec", &args(&["--seed", "7", "--bogus", "1"])).unwrap_err();
+        assert_eq!(err.0, "vrecon spec does not take --bogus");
+        // A flag another subcommand reads is still unknown here.
+        let err = dispatch("gen", &args(&["--audit"])).unwrap_err();
+        assert_eq!(err.0, "vrecon gen does not take --audit");
+    }
+
+    /// Every option and flag a subcommand's `USAGE` lines show is in its
+    /// row of the command table, so `dispatch` accepts what the help
+    /// text offers.
+    #[test]
+    fn usage_lines_offer_only_tabled_options() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .unwrap();
+        let mut command: Option<&Command> = None;
+        let mut seen = 0;
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("vrecon ") {
+                let name = rest.split_whitespace().next().unwrap();
+                command = COMMANDS.iter().find(|c| c.name == name);
+                assert!(command.is_some(), "USAGE shows unknown subcommand {name}");
+                seen += 1;
+            }
+            let command = command.unwrap();
+            for word in line.split("--").skip(1) {
+                let name: String = word
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                assert!(
+                    command.options.contains(&name.as_str())
+                        || command.flags.contains(&name.as_str()),
+                    "USAGE offers --{name} for `vrecon {}`, which its table lacks",
+                    command.name
+                );
+            }
+        }
+        assert_eq!(
+            seen,
+            COMMANDS.len(),
+            "USAGE and the command table list different subcommands"
+        );
     }
 
     #[test]
@@ -1586,5 +1756,14 @@ mod tests {
     fn loadgen_rejects_bad_flags_before_touching_the_network() {
         assert!(loadgen(&args(&["--addr", "not-an-addr"])).is_err());
         assert!(loadgen(&args(&["--specs", "0"])).is_err());
+        // The removed serve gate's flag must fail before any request. Should
+        // the check ever stop firing, the run would only reach a closed
+        // local port, and fail with a connection error instead.
+        let err = dispatch(
+            "loadgen",
+            &args(&["--addr", "127.0.0.1:1", "--check", "BENCH_serve.json"]),
+        )
+        .unwrap_err();
+        assert_eq!(err.0, "vrecon loadgen does not take --check");
     }
 }

@@ -15,19 +15,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use args::Args;
-use commands::{dispatch, USAGE};
-
-/// Options that are flags (take no value).
-const FLAGS: &[&str] = &[
-    "netram",
-    "csv",
-    "log",
-    "gantt",
-    "audit",
-    "no-cache",
-    "broken-oracle",
-    "help",
-];
+use commands::{dispatch, flags, USAGE};
 
 /// Prints to stdout, treating a broken pipe (e.g. `vrecon ... | head`) as a
 /// clean exit instead of a panic.
@@ -49,7 +37,7 @@ fn main() -> ExitCode {
         return emit(USAGE);
     }
     let subcommand = raw.remove(0);
-    let parsed = match Args::parse(raw, FLAGS) {
+    let parsed = match Args::parse(raw, &flags()) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");

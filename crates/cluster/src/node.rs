@@ -8,7 +8,10 @@
 //! driver's calls, but the driver advances every active node (one hosting
 //! work) at each load-exchange tick, so a run costs O(events + active
 //! nodes × exchange ticks), plus the driver's O(nodes) skew pass per gauge
-//! sample — not O(events) alone.
+//! sample — not O(events) alone. Most tick advances reach no completion or
+//! phase boundary: they reuse the stalls and rates of the node's last rate
+//! pass and integrate one segment, so a busy node pays one integration per
+//! tick and the rate pass only at its own events.
 //!
 //! The driver protocol is: call [`Workstation::advance_to`] (or any mutator,
 //! which advances internally) whenever the node is touched, then ask
@@ -114,12 +117,28 @@ const EPS: f64 = 1e-9;
 /// [`MemoryProfile::working_set_at`]: crate::job::MemoryProfile::working_set_at
 const BOUNDARY_EPS: f64 = 1e-6;
 
+/// How far (in progress seconds) below its completion or next phase
+/// boundary a job must stay for an advance to reuse the memoised segment
+/// rates. It exceeds [`BOUNDARY_EPS`], [`EPS`], the half-microsecond
+/// rounding in [`RunningJob::progress`] and any f64 rounding of progress
+/// values by orders of magnitude, so a job below its limit is provably in
+/// the phase the rates were computed for, and is not complete.
+const MEMO_MARGIN: f64 = 1e-5;
+
 /// Reusable buffers for [`Workstation::segment_rates`], so the integration
-/// hot path performs no allocation once warmed up.
+/// hot path performs no allocation once warmed up. The buffers double as
+/// the rate memo: `stalls`, `rates` and `limits` are the last rate pass's
+/// output, and `memo_epoch` says for which node epoch they may be reused.
 #[derive(Debug, Clone, Default)]
 struct RateScratch {
     stalls: Vec<f64>,
     rates: Vec<f64>,
+    /// Per job, the progress below which `stalls` and `rates` stay exact:
+    /// its completion or next phase boundary, less [`MEMO_MARGIN`].
+    limits: Vec<f64>,
+    /// The node epoch the buffers were computed at, or `None` while they
+    /// must not be reused (see [`Workstation::advance_memoised`]).
+    memo_epoch: Option<u64>,
     /// Working sets for thrashing protection, filled only while it is on.
     working_sets: Vec<Bytes>,
     /// Remaining CPU work for thrashing protection, likewise.
@@ -457,15 +476,27 @@ impl Workstation {
     /// Advances all resident jobs to `now`, accumulating their wall-clock
     /// breakdowns and collecting completions into the outbox.
     ///
+    /// Returns `false` when the node's observable load provably did not
+    /// change: the call was a no-op, or it took the memoised one-segment
+    /// path, which completes no job and crosses no memory phase, so
+    /// resident jobs, demand, slots and epoch are all as they were. `true`
+    /// means the load may have moved.
+    ///
     /// Calling with `now` in the past is a no-op (tolerated because multiple
     /// events can share a timestamp).
     // vr-analyze::allow(panic-path, reason = "the only span minted is `remaining.max(0.0)`, bounded by the span it was derived from")
-    pub fn advance_to(&mut self, now: SimTime) {
+    pub fn advance_to(&mut self, now: SimTime) -> bool {
         if now <= self.last_update {
-            return;
+            return false;
         }
         let mut remaining = (now - self.last_update).as_secs_f64();
+        self.last_update = now;
+        if self.advance_memoised(remaining) {
+            return false;
+        }
+        let mut segments = 0u32;
         while remaining > EPS && !self.jobs.is_empty() {
+            segments += 1;
             let mut scratch = self.scratch.borrow_mut();
             // The segment runs to the earliest completion or phase boundary,
             // or to `now`.
@@ -514,7 +545,60 @@ impl Workstation {
                 break;
             }
         }
-        self.last_update = now;
+        if segments > 1 {
+            self.scratch.get_mut().memo_epoch = None;
+        }
+        true
+    }
+
+    /// The one-segment path of [`Workstation::advance_to`]: integrates `dt`
+    /// seconds with the stalls and rates of the last rate pass, and returns
+    /// `true`, when the full segment loop provably would do the same.
+    ///
+    /// That holds when the memo belongs to the current epoch (no admission,
+    /// removal, completion, resize, stall-scale change, crash or restart
+    /// since the rate pass) and every job's progress after the segment,
+    /// `progress + rate·dt`, stays below its limit. Below the limit no job
+    /// has crossed its memory phase, so every input of the rate pass —
+    /// resident jobs, widths, working sets, demand and stall scale — is
+    /// unchanged, and the pass would return the memoised stalls and rates
+    /// bit for bit. Its next-event time then exceeds `dt`, so the loop
+    /// would integrate exactly one segment of `dt`, with the same per-job
+    /// operations in the same order as below, find no completion, and
+    /// re-derive the demand it already holds. The memo is never stamped
+    /// under [`ThrashingProtection::ProtectShortestRemaining`], whose
+    /// stalls read remaining work, and a multi-segment advance drops it.
+    fn advance_memoised(&mut self, dt: f64) -> bool {
+        let RateScratch {
+            stalls,
+            rates,
+            limits,
+            memo_epoch,
+            ..
+        } = self.scratch.get_mut();
+        if *memo_epoch != Some(self.epoch) {
+            return false;
+        }
+        debug_assert_eq!(rates.len(), self.jobs.len(), "rate memo out of sync");
+        let within = self
+            .jobs
+            .iter()
+            .zip(rates.iter().zip(limits.iter()))
+            .all(|(job, (&rate, &limit))| job.progress_secs + rate * dt < limit);
+        if !within {
+            return false;
+        }
+        for (i, job) in self.jobs.iter_mut().enumerate() {
+            let slice = ServiceSlice::split(dt, rates[i], stalls[i]);
+            job.progress_secs += slice.cpu;
+            job.breakdown.cpu += slice.cpu;
+            job.breakdown.page += slice.page;
+            job.breakdown.queue += slice.queue;
+            self.counters.delivered_cpu += slice.cpu;
+            self.counters.page_stall += slice.page;
+            self.counters.io_ops += slice.cpu * job.spec.io_rate;
+        }
+        true
     }
 
     /// The delay from the last advancement until this node next needs a
@@ -537,10 +621,11 @@ impl Workstation {
             .then(|| SimSpan::from_secs_f64(earliest.max(0.0)))
     }
 
-    /// The rate pass of one integration segment: fills `scratch.stalls` and
-    /// `scratch.rates` and returns the time (seconds) to the first
-    /// completion or memory-phase boundary, or infinity if no job
-    /// progresses.
+    /// The rate pass of one integration segment: fills `scratch.stalls`,
+    /// `scratch.rates` and `scratch.limits`, stamps them with the node
+    /// epoch for [`Workstation::advance_memoised`], and returns the time
+    /// (seconds) to the first completion or memory-phase boundary, or
+    /// infinity if no job progresses.
     ///
     /// Each stall factor comes off the segment's [`StallCurve`], built from
     /// the demand cache, is redistributed by thrashing protection when that
@@ -560,6 +645,8 @@ impl Workstation {
         let RateScratch {
             stalls,
             rates,
+            limits,
+            memo_epoch,
             working_sets,
             remaining,
         } = scratch;
@@ -585,21 +672,27 @@ impl Workstation {
         }
         let share = self.params.cpu.progress_share(self.used_slots as usize);
         rates.clear();
+        limits.clear();
         let mut dt = f64::INFINITY;
         for (s, job) in stalls.iter_mut().zip(&self.jobs) {
             *s *= self.stall_scale;
             let r = share * f64::from(job.width) / (1.0 + *s);
             rates.push(r);
+            let boundary = job.next_phase_boundary().map(SimSpan::as_secs_f64);
+            let work = job.spec.cpu_work.as_secs_f64();
+            limits.push(boundary.map_or(work, |b| b.min(work)) - MEMO_MARGIN);
             if r > 0.0 {
                 dt = dt.min(job.remaining_secs() / r);
-                if let Some(boundary) = job.next_phase_boundary() {
-                    let gap = boundary.as_secs_f64() - job.progress_secs;
+                if let Some(boundary) = boundary {
+                    let gap = boundary - job.progress_secs;
                     if gap > BOUNDARY_EPS {
                         dt = dt.min(gap / r);
                     }
                 }
             }
         }
+        *memo_epoch = (self.params.protection != ThrashingProtection::ProtectShortestRemaining)
+            .then_some(self.epoch);
         dt
     }
 
@@ -964,6 +1057,191 @@ mod tests {
         node.restart(SimTime::from_secs(5));
         assert!(node.is_up());
         assert_eq!(node.epoch(), e0);
+    }
+
+    /// Every bit the one-segment path could disturb: each resident and
+    /// completed job's progress, breakdown and completion instant, the
+    /// counters, demand, slots, epoch and clock.
+    fn fingerprint(node: &Workstation) -> Vec<u64> {
+        let c = node.counters();
+        let mut bits = vec![
+            c.delivered_cpu.to_bits(),
+            c.page_stall.to_bits(),
+            c.io_ops.to_bits(),
+            c.admitted,
+            c.completed,
+            c.migrated_out,
+            node.memory_usage().demand.as_mb_f64().to_bits(),
+            u64::from(node.used_slots()),
+            node.epoch(),
+            node.last_update().as_micros(),
+            node.jobs().len() as u64,
+        ];
+        for j in node.jobs().iter().chain(node.pending_completions()) {
+            bits.extend([
+                j.id().0,
+                u64::from(j.width),
+                j.progress_secs.to_bits(),
+                j.breakdown.cpu.to_bits(),
+                j.breakdown.page.to_bits(),
+                j.breakdown.queue.to_bits(),
+                j.completed_at.map_or(u64::MAX, SimTime::as_micros),
+            ]);
+        }
+        bits
+    }
+
+    /// A job of 1–4 memory phases of 1–40 MB, width 1–3 and a non-zero
+    /// I/O rate.
+    fn random_job(rng: &mut vr_simcore::rng::SimRng, id: u64) -> RunningJob {
+        let work = rng.uniform_range(0.5, 120.0);
+        let mut cuts: Vec<u64> = (1..1 + rng.index(4))
+            .map(|_| 1 + (rng.uniform() * work * 1e6) as u64)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut phases: Vec<(SimSpan, Bytes)> = cuts
+            .into_iter()
+            .map(|c| {
+                (
+                    SimSpan::from_micros(c),
+                    Bytes::from_mb(1 + rng.index(40) as u64),
+                )
+            })
+            .collect();
+        phases.push((SimSpan::MAX, Bytes::from_mb(1 + rng.index(40) as u64)));
+        let mut j = job(id, 0, work);
+        j.spec.memory = MemoryProfile::from_phases(phases).unwrap();
+        j.spec.io_rate = rng.uniform_range(0.1, 5.0);
+        j.width = 1 + rng.index(3) as u32;
+        j
+    }
+
+    /// The memoised one-segment advance against the full segment loop.
+    /// Each random node has a twin whose memo is dropped before every
+    /// operation, so every twin advance runs the loop. Both take the same
+    /// interleaving of whole-second ticks, one-microsecond steps (whose
+    /// progress gain is sub-microsecond below rate one), instants at and
+    /// within a microsecond of the `next_event_in` prediction, admissions,
+    /// removals, resizes, stall-scale changes, crashes and restarts, under
+    /// every protection mode, and must stay bit-identical throughout. An
+    /// advance that reports the load unchanged must leave
+    /// `NodeLoad::capture` as it was.
+    #[test]
+    fn memoised_advances_match_the_full_segment_loop() {
+        use crate::loadinfo::NodeLoad;
+        use vr_simcore::rng::SimRng;
+
+        let protections = [
+            ThrashingProtection::Off,
+            ThrashingProtection::ProtectLargest,
+            ThrashingProtection::ProtectShortestRemaining,
+        ];
+        let mut rng = SimRng::seed_from(20_021);
+        let (mut advances, mut unchanged) = (0u32, 0u32);
+        let mut next_id = 0;
+        for case in 0..150 {
+            let mut p = params();
+            p.cpu = CpuParams::with_slots(36);
+            p.protection = protections[case % protections.len()];
+            let mut node = Workstation::new(NodeId(0), p);
+            if rng.index(2) == 0 {
+                node.set_stall_scale(rng.uniform_range(0.05, 1.0));
+            }
+            let mut twin = node.clone();
+            for _ in 0..1 + rng.index(12) {
+                next_id += 1;
+                let j = random_job(&mut rng, next_id);
+                assert_eq!(
+                    twin.try_admit(j.clone(), SimTime::ZERO).is_ok(),
+                    node.try_admit(j, SimTime::ZERO).is_ok()
+                );
+            }
+            for step in 0..150 {
+                let t = node.last_update();
+                let ctx = format!("case {case} step {step}");
+                twin.scratch.get_mut().memo_epoch = None;
+                let op = rng.index(16);
+                let to = match op {
+                    0..=7 => Some(SimTime::from_secs(t.as_micros() / 1_000_000 + 1)),
+                    8 => Some(t + SimSpan::from_micros(1)),
+                    9..=10 => {
+                        let predicted = node.next_event_in();
+                        assert_eq!(predicted, twin.next_event_in(), "{ctx}");
+                        twin.scratch.get_mut().memo_epoch = None;
+                        let at = t + predicted.unwrap_or(SimSpan::from_secs(1));
+                        Some(match rng.index(3) {
+                            0 => at,
+                            1 => at + SimSpan::from_micros(1),
+                            _ => SimTime::from_micros(at.as_micros().saturating_sub(1)),
+                        })
+                    }
+                    _ => None,
+                };
+                if let Some(to) = to {
+                    let before = NodeLoad::capture(&node);
+                    let busy = !node.jobs().is_empty();
+                    let moved = node.advance_to(to);
+                    twin.advance_to(to);
+                    if to > t && busy {
+                        advances += 1;
+                        if !moved {
+                            unchanged += 1;
+                            assert_eq!(NodeLoad::capture(&node), before, "{ctx}");
+                        }
+                    }
+                } else {
+                    let now = t + SimSpan::from_micros(rng.index(2_000_000) as u64);
+                    let pick = |n: &Workstation, k: usize| n.jobs()[k % n.jobs().len()].id();
+                    match op {
+                        11 | 12 => {
+                            next_id += 1;
+                            let j = random_job(&mut rng, next_id);
+                            assert_eq!(
+                                twin.try_admit(j.clone(), now).is_ok(),
+                                node.try_admit(j, now).is_ok(),
+                                "{ctx}"
+                            );
+                        }
+                        13 if !node.jobs().is_empty() => {
+                            let id = pick(&node, rng.index(12));
+                            let w = 1 + rng.index(3) as u32;
+                            if rng.index(2) == 0 {
+                                assert_eq!(
+                                    twin.resize_job(id, w, now),
+                                    node.resize_job(id, w, now)
+                                );
+                            } else {
+                                assert_eq!(twin.remove_job(id, now), node.remove_job(id, now));
+                            }
+                        }
+                        14 => {
+                            let scale = rng.uniform_range(0.05, 1.0);
+                            node.advance_to(now);
+                            twin.advance_to(now);
+                            node.set_stall_scale(scale);
+                            twin.set_stall_scale(scale);
+                        }
+                        _ if node.is_up() && rng.index(4) == 0 => {
+                            assert_eq!(twin.crash(now), node.crash(now), "{ctx}");
+                        }
+                        _ => {
+                            node.restart(now);
+                            twin.restart(now);
+                        }
+                    }
+                }
+                assert_eq!(fingerprint(&node), fingerprint(&twin), "{ctx} op {op}");
+                if rng.index(8) == 0 {
+                    assert_eq!(node.take_completed(), twin.take_completed(), "{ctx}");
+                }
+            }
+        }
+        // Both paths must have run often enough to be compared.
+        assert!(
+            unchanged * 4 > advances && unchanged * 4 < advances * 3,
+            "{unchanged} of {advances} busy advances took the one-segment path"
+        );
     }
 
     #[test]

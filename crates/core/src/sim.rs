@@ -329,6 +329,7 @@ pub(crate) struct ClusterWorld {
     /// Nodes whose observable state may have changed since the last index
     /// refresh (advances, admissions and removals, flag flips, stale
     /// entries awaiting recapture). Drained into the next index refresh.
+    /// A tick advance that proves the node's load unchanged adds nothing.
     dirty: BitSet,
     /// Exchange ticks so far, driving the staggered stale-load schedule
     /// ([`LoadInfoMode::Staggered`]).
@@ -483,13 +484,19 @@ impl ClusterWorld {
     /// the Exchange at every whole second), a wake-up, or a mutation — has
     /// already put it in `dirty` (and in `ripe` if it completed work), so
     /// re-inserting it would change nothing but the cost.
+    ///
+    /// A node whose advance reports its load unchanged (the one-segment
+    /// path: no completion, no phase crossed) stays out of both sets: its
+    /// index entry is already the one a recapture would produce.
     fn advance_active(&mut self, now: SimTime) {
         for i in &self.active {
             let node = &mut self.nodes[i as usize];
             if node.last_update() == now {
                 continue;
             }
-            node.advance_to(now);
+            if !node.advance_to(now) {
+                continue; // the one-segment path: nothing to collect or recapture
+            }
             if !node.pending_completions().is_empty() {
                 self.ripe.insert(i);
             }
@@ -508,9 +515,10 @@ impl ClusterWorld {
     /// Only dirty nodes need visiting: every mutation routes through
     /// [`ClusterWorld::touch`] and every simulated-time advance through
     /// [`ClusterWorld::note_advanced`] or
-    /// [`ClusterWorld::advance_active`], all of which dirty the node — so a
-    /// node outside the dirty set has exactly the state it had when its
-    /// index entry was captured, and a full
+    /// [`ClusterWorld::advance_active`], all of which dirty the node unless
+    /// the advance proved its load unchanged — so a node outside the dirty
+    /// set has exactly the load it had when its index entry was captured,
+    /// and a full
     /// `index.refresh(self.nodes.iter())` would recapture the
     /// identical entry. That makes the result byte-identical to a full
     /// rebuild at O(changed · log n) cost, per refresh, instead of
