@@ -7,7 +7,7 @@
 //! run, and what the adaptive reconfiguration's "quick resolution" claim
 //! means operationally.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vr_cluster::job::JobId;
 use vr_simcore::time::{SimSpan, SimTime};
@@ -20,7 +20,7 @@ use vrecon::events::{EventLog, SchedulerEventKind};
 /// [`TransitStarted`](SchedulerEventKind::TransitStarted) or
 /// [`Resumed`](SchedulerEventKind::Resumed).
 pub fn pending_queue_timeline(log: &EventLog) -> Vec<(SimTime, usize)> {
-    let mut waiting: HashSet<JobId> = HashSet::new();
+    let mut waiting: BTreeSet<JobId> = BTreeSet::new();
     let mut out: Vec<(SimTime, usize)> = Vec::new();
     for event in log.entries() {
         let Some(job) = event.job else { continue };
@@ -62,7 +62,7 @@ pub fn reservation_timeline(log: &EventLog) -> Vec<(SimTime, usize)> {
 /// A job blocked multiple times contributes multiple episodes; an episode
 /// still open at the end of the log is dropped.
 pub fn blocked_episode_durations(log: &EventLog) -> Vec<f64> {
-    let mut since: HashMap<JobId, SimTime> = HashMap::new();
+    let mut since: BTreeMap<JobId, SimTime> = BTreeMap::new();
     let mut out = Vec::new();
     for event in log.entries() {
         let Some(job) = event.job else { continue };
@@ -171,7 +171,8 @@ pub fn node_occupancy_timeline(log: &EventLog, nodes: usize) -> Vec<(SimTime, Ve
 /// delimited by [`ReservationBegan`](SchedulerEventKind::ReservationBegan) /
 /// [`ReservationReleased`](SchedulerEventKind::ReservationReleased) pairs on
 /// the same workstation; a served job's completion falls back to the log's
-/// end when it never completed.
+/// end when it never completed. Episodes come in release order, followed
+/// by those still open at the log's end in node order.
 pub fn reserved_service_episodes(log: &EventLog) -> Vec<Vec<(JobId, SimTime, SimTime)>> {
     use vr_cluster::node::NodeId;
     let log_end = log
@@ -180,13 +181,13 @@ pub fn reserved_service_episodes(log: &EventLog) -> Vec<Vec<(JobId, SimTime, Sim
         .map(|e| e.time)
         .unwrap_or(SimTime::ZERO);
     // Completion time per job.
-    let mut completed: HashMap<JobId, SimTime> = HashMap::new();
+    let mut completed: BTreeMap<JobId, SimTime> = BTreeMap::new();
     for e in log.of_kind(SchedulerEventKind::Completed) {
         if let Some(job) = e.job {
             completed.insert(job, e.time);
         }
     }
-    let mut open: HashMap<NodeId, Vec<(JobId, SimTime, SimTime)>> = HashMap::new();
+    let mut open: BTreeMap<NodeId, Vec<(JobId, SimTime, SimTime)>> = BTreeMap::new();
     let mut episodes = Vec::new();
     for event in log.entries() {
         let Some(node) = event.node else { continue };

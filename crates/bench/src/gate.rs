@@ -56,17 +56,13 @@ struct Row {
 
 impl Row {
     fn of(report: &RunReport, wall_secs: f64) -> Row {
-        let mut kinds = BTreeMap::new();
-        for entry in report.events.entries() {
-            *kinds.entry(entry.kind.token()).or_insert(0) += 1;
-        }
         let engine_events = report.run_stats.events_processed;
         Row {
             name: format!("{} {}", report.trace_name, report.policy),
             engine_events,
             completed: (report.summary.jobs - report.unfinished_jobs) as u64,
             blocking_detections: report.counters.blocking_detections,
-            kinds,
+            kinds: report.events.kind_counts(),
             wall_secs,
             events_per_sec: if wall_secs > 0.0 {
                 engine_events as f64 / wall_secs

@@ -81,13 +81,13 @@ stale (`staggered:1` equals `global`). `--nodes N` beyond the paper
 cluster's size repeats the node list cyclically — cluster size is a free
 parameter.
 
-`trace` replays one workload-group scenario with the structured tracer
-chained and exports the trace: `chrome` (default) is Chrome trace-event
-JSON loadable in chrome://tracing or Perfetto, `jsonl` is compact
-JSON-lines. `--profile-out` additionally writes profiling counters
-(events/sec, per-kind counts, inter-event histogram). `run --trace-out`
-does the same for an on-disk trace file. Trace bytes are deterministic:
-same plan + seed ⇒ byte-identical files.
+`trace` replays one workload-group scenario and exports the trace derived
+from its event log: `chrome` (default) is Chrome trace-event JSON
+loadable in chrome://tracing or Perfetto, `jsonl` is compact JSON-lines.
+`--profile-out` additionally writes profiling counters (events/sec,
+engine events, per-kind counts). `run --trace-out` does the same for an
+on-disk trace file. Trace bytes are deterministic: same plan + seed ⇒
+byte-identical files.
 
 A run that stops at the `--max-sim-time` horizon with events still queued
 is flagged with a loud `WARNING:` — its measurements are truncated, not
@@ -517,24 +517,18 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     let faulted = config.fault_plan.as_ref().is_some_and(|p| !p.is_empty());
     let nodes = cluster_size;
     let simulation = Simulation::new(config);
-    let (report, trace_note) = match args.opt("trace-out") {
-        Some(path) => {
-            let (report, data) = simulation.run_traced(&trace);
-            let format = parse_trace_format(args.opt_or("trace-format", "chrome"))?;
-            write_trace_export(path, format, &data)?;
-            let note = format!(
-                "\ntrace: {} records, {} spans -> {path} ({})",
-                data.records.len(),
-                data.spans.len(),
-                format.label(),
-            );
-            (report, Some(note))
-        }
-        None => (simulation.run(&trace), None),
-    };
+    let report = simulation.run(&trace);
     let mut out = render_report(&report, args.flag("csv"));
-    if let Some(note) = trace_note {
-        out.push_str(&note);
+    if let Some(path) = args.opt("trace-out") {
+        let data = report.trace();
+        let format = parse_trace_format(args.opt_or("trace-format", "chrome"))?;
+        write_trace_export(path, format, &data)?;
+        out.push_str(&format!(
+            "\ntrace: {} records, {} spans -> {path} ({})",
+            data.records.len(),
+            data.spans.len(),
+            format.label(),
+        ));
     }
     if let Some(out_path) = args.opt("report-out") {
         write_report_out(out_path, &report)?;
@@ -848,8 +842,8 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `vrecon trace` — replay one workload-group scenario with the tracer
-/// chained and export the structured trace (plus, optionally, profiling
+/// `vrecon trace` — replay one workload-group scenario and export the
+/// structured trace derived from its report (plus, optionally, profiling
 /// counters). The trace bytes are a pure function of the scenario — two
 /// identical invocations write byte-identical files.
 pub fn trace(args: &Args) -> Result<String, ArgError> {
@@ -880,8 +874,9 @@ pub fn trace(args: &Args) -> Result<String, ArgError> {
         .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
 
     let started = std::time::Instant::now();
-    let (report, data) = Simulation::new(config).run_traced(&workload);
+    let report = Simulation::new(config).run(&workload);
     let wall_secs = started.elapsed().as_secs_f64();
+    let data = report.trace();
 
     let format = parse_trace_format(args.opt_or("format", "chrome"))?;
     let out_path = args.opt("out").unwrap_or(match format {

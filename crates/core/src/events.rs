@@ -6,6 +6,7 @@
 //! `vrecon run --log`) can reconstruct exactly how the cluster reacted to
 //! the workload. The log is append-only and time-ordered.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -184,6 +185,16 @@ impl EventLog {
     pub fn of_kind(&self, kind: SchedulerEventKind) -> impl Iterator<Item = &SchedulerEvent> {
         self.entries.iter().filter(move |e| e.kind == kind)
     }
+
+    /// Entries per kind, keyed by [`SchedulerEventKind::token`]; kinds that
+    /// never occur are absent.
+    pub fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
+        let mut counts = BTreeMap::new();
+        for e in &self.entries {
+            *counts.entry(e.kind.token()).or_insert(0) += 1;
+        }
+        counts
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +232,15 @@ mod tests {
         assert_eq!(log.for_job(JobId(1)).count(), 3);
         assert_eq!(log.of_kind(SchedulerEventKind::ReservationBegan).count(), 1);
         assert_eq!(log.for_job(JobId(99)).count(), 0);
+        assert_eq!(
+            log.kind_counts(),
+            BTreeMap::from([
+                ("completed", 1),
+                ("placed", 1),
+                ("reservation-began", 1),
+                ("submitted", 1),
+            ])
+        );
     }
 
     #[test]

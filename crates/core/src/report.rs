@@ -8,6 +8,7 @@ use vr_metrics::sampler::ClusterGauges;
 use vr_metrics::summary::WorkloadSummary;
 use vr_simcore::engine::RunStats;
 use vr_simcore::time::SimTime;
+use vr_trace::{derive_spans, TraceData, TraceProfile, TraceRecord};
 
 use crate::events::EventLog;
 use crate::policy::PolicyKind;
@@ -142,6 +143,35 @@ impl RunReport {
         Ok(())
     }
 
+    /// The run's structured trace, derived from the finished report: one
+    /// record per event-log entry, spans paired from those records and
+    /// closed at `run_stats.final_time`, and the profile's engine-event and
+    /// per-kind counts. A stored report yields the same trace as the run
+    /// that produced it.
+    pub fn trace(&self) -> TraceData {
+        let records: Vec<TraceRecord> = self
+            .events
+            .entries()
+            .iter()
+            .map(|e| TraceRecord {
+                time: e.time,
+                kind: e.kind.token(),
+                job: e.job.map(|j| j.0),
+                node: e.node.map(|n| u64::from(n.0)),
+            })
+            .collect();
+        let final_time = self.run_stats.final_time;
+        TraceData {
+            final_time,
+            spans: derive_spans(&records, final_time),
+            records,
+            profile: TraceProfile {
+                engine_events: self.run_stats.events_processed,
+                kind_counts: self.events.kind_counts(),
+            },
+        }
+    }
+
     /// One-paragraph human summary.
     ///
     /// ```
@@ -232,6 +262,53 @@ mod tests {
         assert!(r.check_breakdown_identity(0.01).is_err());
         let good = report(vec![job(0, "a", 10.0, 10.0)]);
         good.check_breakdown_identity(0.01).unwrap();
+    }
+
+    #[test]
+    fn trace_mirrors_the_log_and_closes_spans_at_the_final_time() {
+        use crate::events::SchedulerEventKind as K;
+        use vr_cluster::node::NodeId;
+        let mut r = report(Vec::new());
+        r.events
+            .record(SimTime::from_secs(1), K::Submitted, Some(JobId(3)), None);
+        r.events.record(
+            SimTime::from_secs(2),
+            K::Placed,
+            Some(JobId(3)),
+            Some(NodeId(1)),
+        );
+        r.run_stats = RunStats {
+            events_processed: 5,
+            final_time: SimTime::from_secs(10),
+            drained: false,
+        };
+        let data = r.trace();
+        assert_eq!(data.final_time, SimTime::from_secs(10));
+        assert_eq!(
+            data.records,
+            vec![
+                TraceRecord {
+                    time: SimTime::from_secs(1),
+                    kind: "submitted",
+                    job: Some(3),
+                    node: None,
+                },
+                TraceRecord {
+                    time: SimTime::from_secs(2),
+                    kind: "placed",
+                    job: Some(3),
+                    node: Some(1),
+                },
+            ]
+        );
+        // The job never completed: its span closes at the final time.
+        let spans: Vec<_> = data.spans.iter().map(|s| (s.name, s.end)).collect();
+        assert_eq!(spans, vec![("job", SimTime::from_secs(10))]);
+        assert_eq!(data.profile.engine_events, 5);
+        assert_eq!(
+            data.profile.kind_counts,
+            [("placed", 1), ("submitted", 1)].into_iter().collect()
+        );
     }
 
     #[test]

@@ -54,7 +54,6 @@ use vr_simcore::bitset::BitSet;
 use vr_simcore::engine::{Engine, RunStats, Scheduler, World};
 use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
-use vr_trace::{TraceData, TraceRecord, TraceSource, Tracer};
 use vr_workload::trace::Trace;
 
 use crate::config::{LoadInfoMode, PlacementMode, ReservingEnd, SimConfig};
@@ -157,27 +156,6 @@ impl Simulation {
     /// Panics if the trace fails [`Trace::validate`] or the configuration
     /// fails [`SimConfig::validate`].
     pub fn run(&self, trace: &Trace) -> RunReport {
-        self.run_with_tracer(trace, None)
-    }
-
-    /// Like [`Simulation::run`], but with a [`Tracer`] chained behind the
-    /// auditor, returning the structured trace alongside the report.
-    ///
-    /// The tracer observes the world immutably after each event, so the
-    /// report is identical to what [`Simulation::run`] produces — asserted
-    /// by the hook-composition tests.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Simulation::run`].
-    pub fn run_traced(&self, trace: &Trace) -> (RunReport, TraceData) {
-        let mut tracer = Tracer::new();
-        let report = self.run_with_tracer(trace, Some(&mut tracer));
-        let data = tracer.finish(report.run_stats.final_time);
-        (report, data)
-    }
-
-    fn run_with_tracer(&self, trace: &Trace, tracer: Option<&mut Tracer>) -> RunReport {
         self.config
             .validate()
             // vr-lint::allow(panic-in-lib, reason = "documented # Panics contract: run() rejects invalid configs up front")
@@ -211,13 +189,9 @@ impl Simulation {
             .config
             .audit
             .then(|| crate::audit::InvariantAuditor::new(&self.config));
-        // Auditor and tracer compose through the generic hook chain: each
-        // optional, each seeing the world immutably after every event, so
-        // neither can perturb the run (or each other).
-        let stats = {
-            let mut hooks = (auditor.as_mut(), tracer);
-            engine.run_until_with(&mut world, horizon, &mut hooks)
-        };
+        // The auditor, when on, sees the world immutably after every event,
+        // so it cannot perturb the run.
+        let stats = engine.run_until_with(&mut world, horizon, &mut auditor.as_mut());
         let violations = auditor
             .map(|mut a| {
                 a.finish(&world, engine.now());
@@ -228,25 +202,6 @@ impl Simulation {
         report.run_stats = stats;
         report.audit_violations = violations;
         report
-    }
-}
-
-/// Exposes the scheduler event log as structured trace records, read by
-/// the [`Tracer`] with a cursor (same pattern as the invariant auditor's
-/// log tail scan).
-impl TraceSource for ClusterWorld {
-    fn record_count(&self) -> usize {
-        self.log.len()
-    }
-
-    fn record_at(&self, i: usize) -> TraceRecord {
-        let e = &self.log.entries()[i];
-        TraceRecord {
-            time: e.time,
-            kind: e.kind.token(),
-            job: e.job.map(|j| j.0),
-            node: e.node.map(|n| u64::from(n.0)),
-        }
     }
 }
 

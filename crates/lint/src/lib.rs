@@ -176,8 +176,13 @@ use std::collections::HashSet;
     fn crate_scoping_gates_rules() {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(analyze("crates/core/src/x.rs", src).diagnostics.len(), 1);
-        // The analysis crate is outside the deterministic set.
-        assert!(analyze("crates/analysis/src/x.rs", src).is_clean());
+        // The runner crate is outside the deterministic set; the analysis
+        // crate is inside it.
+        assert!(analyze("crates/runner/src/x.rs", src).is_clean());
+        assert_eq!(
+            analyze("crates/analysis/src/x.rs", src).diagnostics.len(),
+            1
+        );
     }
 
     #[test]

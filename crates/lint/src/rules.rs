@@ -16,7 +16,7 @@ use crate::lexer::{Tok, TokKind};
 /// Crates whose output must be a pure function of `(plan, seed)`. The
 /// cross-`--jobs` byte-equality tests and the golden figures rest on this.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "check", "cluster", "core", "faults", "metrics", "simcore", "trace", "workload",
+    "analysis", "check", "cluster", "core", "faults", "metrics", "simcore", "trace", "workload",
 ];
 
 /// Crates allowed to read wall clocks (orchestration / reporting layer),

@@ -1,8 +1,9 @@
-//! Per-request observability, mirroring the `vr-trace` hook seam: the
-//! server calls a [`RequestHook`] exactly once per answered request with
-//! a structured [`RequestRecord`]; sinks decide what to do with it. The
-//! bundled sink, [`JsonlRequestLog`], appends one JSON object per line —
-//! the same greppable shape `vrecon trace` emits for simulator events.
+//! Per-request observability, on the pattern of the engine's `EventHook`
+//! seam: the server calls a [`RequestHook`] exactly once per answered
+//! request with a structured [`RequestRecord`]; sinks decide what to do
+//! with it. The bundled sink, [`JsonlRequestLog`], appends one JSON object
+//! per line — the same greppable shape `vrecon trace` emits for simulator
+//! events.
 
 use std::io::Write;
 use std::path::Path;

@@ -21,7 +21,8 @@
 //!   explicit limits (408/411/413/431) instead of hung threads.
 //! * [`state`] — counters, hot tier, and the in-flight table.
 //! * [`hook`] — per-request structured records ([`RequestRecord`]) via
-//!   the same hook-seam pattern as `vr-trace`, with a JSONL sink.
+//!   the same hook-seam pattern as the engine's `EventHook`, with a JSONL
+//!   sink.
 //! * [`client`] / [`loadgen`] — the blocking client and the phased load
 //!   generator behind `vrecon loadgen`.
 //! * [`clock`] — the only module allowed to read the wall clock

@@ -51,8 +51,8 @@ pub trait World {
 /// An observer invoked after every dispatched event.
 ///
 /// Hooks see the world *after* it reacted, making them the natural seam for
-/// invariant auditors, tracers, and other cross-cutting observers that must
-/// not perturb the simulation itself (the world is handed out immutably).
+/// invariant auditors and other cross-cutting observers that must not
+/// perturb the simulation itself (the world is handed out immutably).
 /// The no-op hook is `()`, which [`Engine::run_until`] uses.
 pub trait EventHook<W: World> {
     /// Called once per dispatched event, after `world` handled it. `now` is
@@ -70,23 +70,13 @@ impl<W: World, H: EventHook<W> + ?Sized> EventHook<W> for &mut H {
     }
 }
 
-/// `None` is a no-op observer, so optional hooks (an auditor that is only
-/// sometimes enabled, a tracer that is only sometimes requested) compose
-/// without a combinatorial match over which ones are present.
+/// `None` is a no-op observer, so an optional hook (an auditor that is
+/// only sometimes enabled) needs no match over whether it is present.
 impl<W: World, H: EventHook<W>> EventHook<W> for Option<H> {
     fn after_event(&mut self, world: &W, now: SimTime) {
         if let Some(hook) = self {
             hook.after_event(world, now);
         }
-    }
-}
-
-/// A pair runs its first hook, then its second, each seeing the same world;
-/// nest pairs to compose more observers.
-impl<W: World, A: EventHook<W>, B: EventHook<W>> EventHook<W> for (A, B) {
-    fn after_event(&mut self, world: &W, now: SimTime) {
-        self.0.after_event(world, now);
-        self.1.after_event(world, now);
     }
 }
 
@@ -397,80 +387,5 @@ mod tests {
         engine.run_until(&mut world, SimTime::MAX);
         // Clock is now at 5s; now + MAX overflows and must panic.
         engine.scheduler().schedule_in(SimSpan::MAX, Ev::Pong);
-    }
-
-    struct Spy {
-        name: &'static str,
-        seen: Vec<(&'static str, SimTime, usize)>,
-    }
-    impl EventHook<Recorder> for Spy {
-        fn after_event(&mut self, world: &Recorder, now: SimTime) {
-            self.seen.push((self.name, now, world.log.len()));
-        }
-    }
-
-    #[test]
-    fn tuple_hooks_run_in_order_and_see_identical_states() {
-        let mut world = Recorder {
-            respawn: true,
-            ..Recorder::default()
-        };
-        let mut engine = Engine::new();
-        engine
-            .scheduler()
-            .schedule_at(SimTime::from_secs(1), Ev::Ping);
-        let a = Spy {
-            name: "a",
-            seen: Vec::new(),
-        };
-        let b = Spy {
-            name: "b",
-            seen: Vec::new(),
-        };
-        let mut pair = (a, b);
-        let stats = engine.run_until_with(&mut world, SimTime::MAX, &mut pair);
-        assert_eq!(stats.events_processed, 2);
-        let states = |spy: &Spy| spy.seen.iter().map(|&(_, t, n)| (t, n)).collect::<Vec<_>>();
-        // Both hooks observed exactly the same post-reaction world states.
-        assert_eq!(states(&pair.0), states(&pair.1));
-        assert_eq!(
-            states(&pair.0),
-            vec![(SimTime::from_secs(1), 1), (SimTime::from_secs(2), 2)]
-        );
-    }
-
-    #[test]
-    fn optional_hooks_compose_without_perturbing_each_other() {
-        // (Some(auditor), None::<tracer>) behaves exactly like the auditor
-        // alone: the observer set is composable without a match ladder.
-        let run = |with_second: bool| {
-            let mut world = Recorder {
-                respawn: true,
-                ..Recorder::default()
-            };
-            let mut engine = Engine::new();
-            engine
-                .scheduler()
-                .schedule_at(SimTime::from_secs(1), Ev::Ping);
-            let first = Spy {
-                name: "first",
-                seen: Vec::new(),
-            };
-            let second = with_second.then(|| Spy {
-                name: "second",
-                seen: Vec::new(),
-            });
-            let mut hooks = (Some(first), second);
-            engine.run_until_with(&mut world, SimTime::MAX, &mut hooks);
-            (hooks.0.unwrap().seen, hooks.1.map(|s| s.seen))
-        };
-        let (solo, none) = run(false);
-        let (chained, second) = run(true);
-        assert_eq!(none, None);
-        // The first hook's observations are identical with and without a
-        // second observer chained behind it.
-        assert_eq!(solo, chained);
-        let second = second.unwrap();
-        assert_eq!(second.len(), chained.len());
     }
 }

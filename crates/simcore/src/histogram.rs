@@ -57,25 +57,6 @@ impl Histogram {
         Histogram::from_edges(edges)
     }
 
-    /// [`Histogram::logarithmic`] with an extra leading `[0, lo)` bucket, so
-    /// observations smaller than the geometric range — most importantly an
-    /// exact `0.0`, which no log bucket can hold — are *measured* rather
-    /// than lumped into the underflow counter. Non-negative inputs can
-    /// never underflow this shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < lo < hi` and `buckets > 0`.
-    pub fn logarithmic_with_zero(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo > 0.0 && lo < hi, "log histogram needs 0 < lo < hi");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        let ratio = (hi / lo).powf(1.0 / buckets as f64);
-        let edges = std::iter::once(0.0)
-            .chain((0..=buckets).map(|i| lo * ratio.powi(i as i32)))
-            .collect();
-        Histogram::from_edges(edges)
-    }
-
     fn from_edges(edges: Vec<f64>) -> Self {
         let buckets = edges.len() - 1;
         Histogram {
@@ -277,20 +258,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.underflow(), 0);
-    }
-
-    #[test]
-    fn zero_bucket_catches_sub_range_values() {
-        let mut h = Histogram::logarithmic_with_zero(1.0, 16.0, 4);
-        h.record(0.0); // exact zero: measured, not underflow
-        h.record(0.5); // sub-range: measured, not underflow
-        h.record(1.0);
-        h.record(-0.1); // genuinely negative: still underflow
-        let counts: Vec<u64> = h.buckets().map(|(_, _, c)| c).collect();
-        assert_eq!(counts, vec![2, 1, 0, 0, 0]);
-        assert_eq!(h.underflow(), 1);
-        let (lo, hi, _) = h.buckets().next().unwrap();
-        assert_eq!((lo, hi), (0.0, 1.0));
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
             final_time: SimTime::from_secs(10),
             records,
             spans,
-            profile: TraceProfile::new(),
+            profile: TraceProfile::default(),
         }
     }
 

@@ -1,12 +1,13 @@
 //! Deterministic observability for the simulator: `vr-trace`.
 //!
-//! The engine's [`EventHook`] seam delivers the world immutably after every
-//! dispatched event. This crate rides that seam with a [`Tracer`] that
-//! records structured per-event records (kind, time, job, node), derives
-//! spans for job lifecycles and reservation episodes, and accumulates
-//! profiling counters — without ever perturbing the simulation it observes.
+//! A trace is derived from a finished run, not observed during it: the
+//! caller turns the run's scheduler event log into [`TraceRecord`]s (kind,
+//! time, job, node), and this crate pairs them into spans for job
+//! lifecycles and reservation episodes and renders them. Nothing here
+//! touches the engine, so a traced run is the untraced run by
+//! construction.
 //!
-//! Everything here is a pure function of the event stream: same plan + seed
+//! Everything here is a pure function of the records: same plan + seed
 //! ⇒ byte-identical trace output. The crate is in vr-lint's deterministic
 //! set (ordered containers only, no wall clocks, no environment reads);
 //! wall-clock rates such as events/sec are computed by the orchestration
@@ -18,26 +19,22 @@
 //!   `ph:"i"` instants.
 //! - [`jsonl`] — compact JSON-lines via `vr_simcore::jsonio`: a header
 //!   line, then one line per record and per span.
-//!
-//! [`EventHook`]: vr_simcore::engine::EventHook
 
 #![forbid(unsafe_code)]
 
 mod export;
 mod profile;
 mod span;
-mod tracer;
 
 use vr_simcore::time::SimTime;
 
 pub use export::{chrome_trace, chrome_trace_json, jsonl};
 pub use profile::TraceProfile;
 pub use span::{derive_spans, TraceSpan};
-pub use tracer::{TraceData, Tracer};
 
 /// Version stamped into every exported trace (header line / top-level
 /// `schema` field). Bump on any change to record, span, or profile layout.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// One structured trace record: what happened, when, to whom.
 ///
@@ -56,16 +53,15 @@ pub struct TraceRecord {
     pub node: Option<u64>,
 }
 
-/// A world that can expose its event history as [`TraceRecord`]s.
-///
-/// The tracer uses a cursor over `0..record_count()` — the same pattern the
-/// invariant auditor uses over the event log — so each record is read
-/// exactly once, in order, without the trace crate depending on the
-/// world's concrete log type.
-pub trait TraceSource {
-    /// Number of records emitted so far (monotonically non-decreasing).
-    fn record_count(&self) -> usize;
-    /// The `i`-th record, for `i < record_count()`. Records at increasing
-    /// indices must have non-decreasing times.
-    fn record_at(&self, i: usize) -> TraceRecord;
+/// The trace of one finished run: records, derived spans, and profile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceData {
+    /// Engine clock when the run stopped (closes open spans).
+    pub final_time: SimTime,
+    /// Every structured record, in emission order.
+    pub records: Vec<TraceRecord>,
+    /// Derived intervals, canonically ordered.
+    pub spans: Vec<TraceSpan>,
+    /// Profiling counters for the run.
+    pub profile: TraceProfile,
 }

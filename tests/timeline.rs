@@ -1,9 +1,11 @@
 //! Integration tests of the event-log timeline analysis: the operational
 //! meaning of "quickly resolving the job blocking problem".
 
+use std::collections::BTreeMap;
+
 use vrecon_repro::analysis::timeline::{
     blocked_episode_durations, cluster_blocking_episodes, completion_throughput,
-    pending_queue_timeline, reservation_timeline,
+    pending_queue_timeline, reservation_timeline, reserved_service_episodes,
 };
 use vrecon_repro::prelude::*;
 
@@ -72,4 +74,50 @@ fn blocking_episodes_exist_under_pressure_and_resolve() {
     for (start, dur) in &episodes {
         assert!(*dur > SimSpan::ZERO, "degenerate episode at {start}");
     }
+}
+
+#[test]
+fn open_reservation_episodes_come_back_in_node_order() {
+    // SPEC-Trace-3 on cluster 1 under V-R, cut at 600 s while several
+    // workstations are still reserved.
+    let trace = spec_trace(TraceLevel::Normal, &mut SimRng::seed_from(42));
+    let config = SimConfig::new(ClusterParams::cluster1(), PolicyKind::VReconfiguration)
+        .with_seed(7)
+        .with_max_sim_time(SimSpan::from_secs(600));
+    let log = Simulation::new(config).run(&trace).events;
+    let episodes = reserved_service_episodes(&log);
+    assert_eq!(episodes, reserved_service_episodes(&log));
+
+    // The jobs each still-reserved workstation has served since its
+    // reservation began, in node order.
+    let mut serving: BTreeMap<NodeId, Vec<JobId>> = BTreeMap::new();
+    for e in log.entries() {
+        let Some(node) = e.node else { continue };
+        match (e.kind, e.job) {
+            (SchedulerEventKind::ReservationBegan, _) => {
+                serving.insert(node, Vec::new());
+            }
+            (SchedulerEventKind::SpecialServiceStarted, Some(job)) => {
+                if let Some(jobs) = serving.get_mut(&node) {
+                    jobs.push(job);
+                }
+            }
+            (SchedulerEventKind::ReservationReleased, _) => {
+                serving.remove(&node);
+            }
+            _ => {}
+        }
+    }
+    let busy = serving.values().filter(|jobs| !jobs.is_empty()).count();
+    assert!(
+        busy > 1,
+        "{} open reservations, {busy} serving",
+        serving.len()
+    );
+    // Those episodes come last, in node order.
+    let open: Vec<Vec<JobId>> = episodes[episodes.len() - serving.len()..]
+        .iter()
+        .map(|served| served.iter().map(|&(job, _, _)| job).collect())
+        .collect();
+    assert_eq!(open, serving.into_values().collect::<Vec<_>>());
 }

@@ -2,8 +2,11 @@
 //!
 //! * horizon-truncated runs are detectable from `RunReport.run_stats`
 //!   (the regression test for the silently-discarded `RunStats` bug);
-//! * chaining observers (auditor, tracer) never perturbs the simulation —
-//!   the report is bit-identical with and without them;
+//! * the invariant auditor, the one engine hook, never perturbs the
+//!   simulation — the report is bit-identical with it on and off;
+//! * a trace is derived from the finished report (`RunReport::trace`):
+//!   one record per event-log entry, and a report read back from disk
+//!   gives the same trace bytes as the run that produced it;
 //! * trace bytes are a pure function of (plan, seed): byte-identical
 //!   across reruns, across concurrent execution, and report bytes are
 //!   byte-identical across `--jobs` worker counts on the runner;
@@ -16,8 +19,8 @@ use std::sync::Arc;
 
 use vr_faults::FaultPlan;
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
-use vr_trace::{chrome_trace, jsonl, TraceData};
-use vrecon::report_json::encode_report;
+use vr_trace::{chrome_trace, jsonl};
+use vrecon::report_json::{decode_report, encode_report};
 use vrecon_repro::prelude::*;
 
 fn small_cluster() -> ClusterParams {
@@ -57,40 +60,40 @@ fn truncated_runs_are_flagged_in_run_stats() {
 #[test]
 fn observers_do_not_perturb_the_simulation() {
     let trace = blocking_trace();
-    for audit in [false, true] {
-        let plain =
-            Simulation::new(config(PolicyKind::VReconfiguration).with_audit(audit)).run(&trace);
-        let (traced, data) =
-            Simulation::new(config(PolicyKind::VReconfiguration).with_audit(audit))
-                .run_traced(&trace);
-        // Bit-identical report — the tracer saw everything, changed nothing.
-        assert_eq!(plain, traced, "audit={audit}");
-        assert!(plain.audit_violations.is_empty());
-        // The tracer mirrored the full event log.
-        assert_eq!(data.records.len(), plain.events.len());
-        assert_eq!(data.profile.engine_events, plain.run_stats.events_processed);
-        assert!(!data.spans.is_empty());
-    }
+    let run = |audit: bool| {
+        Simulation::new(config(PolicyKind::VReconfiguration).with_audit(audit)).run(&trace)
+    };
+    let plain = run(false);
+    let audited = run(true);
+    // Bit-identical report — the auditor saw everything, changed nothing.
+    assert_eq!(plain, audited);
+    assert!(audited.audit_violations.is_empty());
+    // The trace holds one record per log entry and counts every engine
+    // event.
+    let data = plain.trace();
+    assert_eq!(data.records.len(), plain.events.len());
+    assert_eq!(data.profile.engine_events, plain.run_stats.events_processed);
+    assert!(!data.spans.is_empty());
 }
 
-fn run_traced_once() -> (String, String) {
-    let trace = blocking_trace();
-    let (_, data): (RunReport, TraceData) =
-        Simulation::new(config(PolicyKind::VReconfiguration)).run_traced(&trace);
+fn trace_exports() -> (String, String) {
+    let data = Simulation::new(config(PolicyKind::VReconfiguration))
+        .run(&blocking_trace())
+        .trace();
     (chrome_trace(&data), jsonl(&data))
 }
 
 #[test]
 fn trace_bytes_are_deterministic_across_runs_and_threads() {
-    let (chrome_a, jsonl_a) = run_traced_once();
-    let (chrome_b, jsonl_b) = run_traced_once();
+    let (chrome_a, jsonl_a) = trace_exports();
+    let (chrome_b, jsonl_b) = trace_exports();
     assert_eq!(chrome_a, chrome_b);
     assert_eq!(jsonl_a, jsonl_b);
 
     // Eight concurrent traced runs of the same scenario all produce the
     // serial bytes: nothing host-dependent leaks into the trace.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8).map(|_| scope.spawn(run_traced_once)).collect();
+        let handles: Vec<_> = (0..8).map(|_| scope.spawn(trace_exports)).collect();
         for handle in handles {
             let (chrome, lines) = handle.join().expect("traced run panicked");
             assert_eq!(chrome, chrome_a);
@@ -142,7 +145,7 @@ fn pending_and_transit_spans_never_overlap() {
     // exports: App-Trace-1 on eight cluster-2 nodes under V-R.
     let trace = app_trace(TraceLevel::Light, &mut SimRng::seed_from(42));
     let config = SimConfig::new(small_cluster(), PolicyKind::VReconfiguration).with_seed(7);
-    let (_, data) = Simulation::new(config).run_traced(&trace);
+    let data = Simulation::new(config).run(&trace).trace();
     // The run must leave the queue by remote submission and bounce jobs
     // from transit back into the queue, or the check below is vacuous.
     let mut last_kind: BTreeMap<u64, &str> = BTreeMap::new();
@@ -176,15 +179,30 @@ fn pending_and_transit_spans_never_overlap() {
     }
 }
 
-#[test]
-fn transit_spans_cover_retried_migrations() {
-    // App-Trace-1 on eight cluster-2 nodes under V-R, with each migration
-    // attempt failing in transit with probability 0.5.
+/// App-Trace-1 on eight cluster-2 nodes under V-R, with each migration
+/// attempt failing in transit with probability 0.5.
+fn faulted_run() -> RunReport {
     let trace = app_trace(TraceLevel::Light, &mut SimRng::seed_from(42));
     let config = SimConfig::new(small_cluster(), PolicyKind::VReconfiguration)
         .with_seed(7)
         .with_faults(FaultPlan::none().with_migration_failures(0.5));
-    let (_, data) = Simulation::new(config).run_traced(&trace);
+    Simulation::new(config).run(&trace)
+}
+
+#[test]
+fn stored_reports_give_the_same_trace() {
+    // What `.vr-cache` holds is enough to render a run's trace without
+    // simulating it again.
+    let report = faulted_run();
+    let stored = decode_report(&encode_report(&report)).expect("report decodes");
+    let (live, read_back) = (report.trace(), stored.trace());
+    assert_eq!(chrome_trace(&read_back), chrome_trace(&live));
+    assert_eq!(jsonl(&read_back), jsonl(&live));
+}
+
+#[test]
+fn transit_spans_cover_retried_migrations() {
+    let data = faulted_run().trace();
 
     // In-transit time read straight off the records: a job is on the wire
     // from a transit start until it is placed, bounced back to the queue
