@@ -106,24 +106,43 @@ impl CheckScenario {
     ///
     /// # Errors
     ///
-    /// Returns an error if the derived config or trace fails validation.
+    /// Returns an error if a size or horizon overflows its unit, or if the
+    /// derived config or trace fails validation.
     pub fn to_sim(&self) -> Result<(SimConfig, Trace), String> {
-        let nodes: Vec<NodeParams> = self
+        fn megabytes(field: &str, mb: u64) -> Result<Bytes, String> {
+            mb.checked_mul(1024 * 1024)
+                .map(Bytes::new)
+                .ok_or_else(|| format!("{field}={mb} overflows a 64-bit byte count"))
+        }
+        let nodes = self
             .nodes
             .iter()
-            .map(|n| NodeParams {
-                cpu: CpuParams::with_slots(n.slots),
-                memory: MemoryParams {
-                    user: Bytes::from_mb(n.user_mb),
-                    swap: Bytes::from_mb(n.user_mb),
-                    page_size: Bytes::from_kb(4),
-                    fault_service: SimSpan::from_millis(10),
-                    swap_bandwidth: Bytes::from_mb(10),
-                },
-                fault_model: FaultModel::default(),
-                protection: ThrashingProtection::Off,
+            .map(|n| {
+                let user = megabytes("user_mb", n.user_mb)?;
+                Ok(NodeParams {
+                    cpu: CpuParams::with_slots(n.slots),
+                    memory: MemoryParams {
+                        user,
+                        swap: user,
+                        page_size: Bytes::from_kb(4),
+                        fault_service: SimSpan::from_millis(10),
+                        swap_bandwidth: Bytes::from_mb(10),
+                    },
+                    fault_model: FaultModel::default(),
+                    protection: ThrashingProtection::Off,
+                })
             })
-            .collect();
+            .collect::<Result<Vec<NodeParams>, String>>()?;
+        let max_sim_time = self
+            .max_sim_time_s
+            .checked_mul(1_000_000)
+            .map(SimSpan::from_micros)
+            .ok_or_else(|| {
+                format!(
+                    "max-sim-time-s {} overflows the microsecond clock",
+                    self.max_sim_time_s
+                )
+            })?;
         let cluster = ClusterParams {
             nodes,
             network: NetworkParams::ethernet_10mbps(),
@@ -132,30 +151,32 @@ impl CheckScenario {
         let mut config = SimConfig::new(cluster, self.policy)
             .with_policy_params(self.policy_params.clone())
             .with_seed(self.seed)
-            .with_max_sim_time(SimSpan::from_secs(self.max_sim_time_s))
+            .with_max_sim_time(max_sim_time)
             .with_audit(true);
         if let Some(plan) = &self.fault_plan {
             config = config.with_faults(plan.clone());
         }
         config.validate()?;
-        let jobs: Vec<JobSpec> = self
+        let jobs = self
             .jobs
             .iter()
             .enumerate()
-            .map(|(i, j)| JobSpec {
-                id: JobId(i as u64),
-                name: format!("fuzz-{i}"),
-                class: JobClass::CpuIntensive,
-                submit: SimTime::from_micros(j.submit_us),
-                cpu_work: SimSpan::from_micros(j.cpu_work_us),
-                memory: MemoryProfile::constant(Bytes::from_mb(j.ws_mb)),
-                io_rate: 0.0,
-                malleable: j.malleable.map(|(min, max)| MalleableSpec {
-                    min_width: min,
-                    max_width: max,
-                }),
+            .map(|(i, j)| {
+                Ok(JobSpec {
+                    id: JobId(i as u64),
+                    name: format!("fuzz-{i}"),
+                    class: JobClass::CpuIntensive,
+                    submit: SimTime::from_micros(j.submit_us),
+                    cpu_work: SimSpan::from_micros(j.cpu_work_us),
+                    memory: MemoryProfile::constant(megabytes("ws_mb", j.ws_mb)?),
+                    io_rate: 0.0,
+                    malleable: j.malleable.map(|(min, max)| MalleableSpec {
+                        min_width: min,
+                        max_width: max,
+                    }),
+                })
             })
-            .collect();
+            .collect::<Result<Vec<JobSpec>, String>>()?;
         let trace = Trace {
             name: "fuzz".to_owned(),
             jobs,
@@ -908,6 +929,46 @@ mod tests {
             assert!(
                 err.contains(needle),
                 "spec {text:?}: error {err:?} lacks {needle:?}"
+            );
+        }
+    }
+
+    /// Specs that parse but describe nothing runnable: `to_sim` refuses
+    /// each with an error naming the offending field, instead of
+    /// panicking or wrapping a size.
+    #[test]
+    fn unrunnable_specs_are_rejected_by_to_sim() {
+        const NODE: &str = "node user_mb=64 slots=2";
+        const JOB: &str = "job submit_us=0 cpu_work_us=1000000 ws_mb=8";
+        let cases = [
+            (format!("{NODE}\n{JOB} malleable=0:0"), "min_width"),
+            (
+                format!("{NODE}\n{JOB} malleable=3:1"),
+                "max_width 1 is below",
+            ),
+            (format!("node user_mb=64 slots=0\n{JOB}"), "no CPU slots"),
+            (
+                format!("max-sim-time-s 35184372088832\n{NODE}\n{JOB}"),
+                "max-sim-time-s",
+            ),
+            (
+                format!("node user_mb=17592186044416 slots=2\n{JOB}"),
+                "user_mb=",
+            ),
+            (
+                format!("{NODE}\njob submit_us=0 cpu_work_us=1000000 ws_mb=17592186044416"),
+                "ws_mb=",
+            ),
+        ];
+        for (body, needle) in cases {
+            let text = format!("policy G-Loadsharing\n{body}\n");
+            let spec = CheckScenario::parse(&text).unwrap();
+            let err = spec
+                .to_sim()
+                .expect_err(&format!("to_sim accepted {text:?}"));
+            assert!(
+                err.contains(needle),
+                "{text:?}: error {err:?} lacks {needle:?}"
             );
         }
     }

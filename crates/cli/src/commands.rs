@@ -12,7 +12,7 @@ use vr_lint::{analyze_workspace, workspace_root, Format};
 use vr_metrics::comparison::MetricComparison;
 use vr_metrics::table::{fmt_f, TextTable};
 use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
-use vr_serve::{run_loadgen, JsonlRequestLog, LoadgenConfig, ServeConfig};
+use vr_serve::{JsonlRequestLog, ServeConfig};
 use vr_simcore::rng::SimRng;
 use vr_workload::trace::{
     app_trace_scaled, spec_trace_scaled, Trace, TraceLevel, APP_LIFETIME_SCALE, SPEC_LIFETIME_SCALE,
@@ -51,8 +51,6 @@ USAGE:
   vrecon serve   [--addr HOST:PORT] [--jobs N] [--cache-dir DIR] [--no-cache]
                  [--max-inflight N] [--hot-cap N] [--read-timeout-ms MS]
                  [--max-conns N] [--request-log FILE]
-  vrecon loadgen [--addr HOST:PORT] [--specs N] [--warm N] [--concurrency N]
-                 [--seed N] [--followers N] [--heavy-jobs N] [--out FILE]
   vrecon spec    [--seed N] [--iter N] [--out FILE]
 
 POLICIES: none | random | cpu | weighted | gls | suspend | vrecon, or any
@@ -129,10 +127,6 @@ select which). `run --spec FILE` replays such a spec directly instead of
 a trace file (the spec carries its own cluster, policy, seed, and
 horizon, and always audits); `--report-out FILE` writes the canonical
 report encoding — the exact bytes `serve` returns for that spec.
-
-`loadgen` drives a running `serve` instance through cold / warm /
-coalesce / overload phases and prints a JSON document of phase counters
-and latencies (`--out FILE` writes it instead).
 ";
 
 fn parse_level(raw: &str) -> Result<TraceLevel, ArgError> {
@@ -1051,50 +1045,6 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-/// `vrecon loadgen` — drive a running serve instance through the phased
-/// benchmark; print or write the resulting document.
-pub fn loadgen(args: &Args) -> Result<String, ArgError> {
-    let mut config = LoadgenConfig::default();
-    if let Some(addr) = args.opt("addr") {
-        config.addr = addr
-            .parse()
-            .map_err(|e| ArgError(format!("bad --addr {addr}: {e}")))?;
-    }
-    if let Some(n) = args.opt_parse::<usize>("specs")? {
-        if n == 0 {
-            return Err(ArgError("--specs must be positive".to_owned()));
-        }
-        config.specs = n;
-    }
-    if let Some(n) = args.opt_parse::<usize>("warm")? {
-        config.warm_requests = n;
-    }
-    if let Some(n) = args.opt_parse::<usize>("concurrency")? {
-        if n == 0 {
-            return Err(ArgError("--concurrency must be positive".to_owned()));
-        }
-        config.concurrency = n;
-    }
-    if let Some(seed) = args.opt_parse::<u64>("seed")? {
-        config.seed = seed;
-    }
-    if let Some(n) = args.opt_parse::<usize>("followers")? {
-        config.followers = n;
-    }
-    if let Some(n) = args.opt_parse::<usize>("heavy-jobs")? {
-        config.heavy_jobs = n;
-    }
-    let text = run_loadgen(&config).map_err(ArgError)?.render();
-    match args.opt("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-            Ok(format!("loadgen: wrote {path}"))
-        }
-        None => Ok(text),
-    }
-}
-
 /// `vrecon spec` — render one fuzzer-generated scenario spec: the wire
 /// format `serve` accepts and `run --spec` replays.
 pub fn spec(args: &Args) -> Result<String, ArgError> {
@@ -1214,21 +1164,6 @@ const COMMANDS: &[Command] = &[
             "request-log",
         ],
         flags: &["no-cache"],
-    },
-    Command {
-        name: "loadgen",
-        run: loadgen,
-        options: &[
-            "addr",
-            "specs",
-            "warm",
-            "concurrency",
-            "seed",
-            "followers",
-            "heavy-jobs",
-            "out",
-        ],
-        flags: &[],
     },
     Command {
         name: "spec",
@@ -1625,8 +1560,10 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown() {
-        let err = dispatch("frobnicate", &args(&[])).unwrap_err();
-        assert!(err.0.contains("unknown subcommand"));
+        for name in ["frobnicate", "loadgen"] {
+            let err = dispatch(name, &args(&[])).unwrap_err();
+            assert!(err.0.contains("unknown subcommand"), "{}", err.0);
+        }
         let err = dispatch("spec", &args(&["--seed", "7", "--bogus", "1"])).unwrap_err();
         assert_eq!(err.0, "vrecon spec does not take --bogus");
         // A flag another subcommand reads is still unknown here.
@@ -1745,20 +1682,5 @@ mod tests {
         assert!(disabled.cache_dir.is_none());
         assert!(serve_config(&args(&["--no-cache", "--cache-dir", "x"])).is_err());
         assert!(serve_config(&args(&["--max-inflight", "0"])).is_err());
-    }
-
-    #[test]
-    fn loadgen_rejects_bad_flags_before_touching_the_network() {
-        assert!(loadgen(&args(&["--addr", "not-an-addr"])).is_err());
-        assert!(loadgen(&args(&["--specs", "0"])).is_err());
-        // The removed serve gate's flag must fail before any request. Should
-        // the check ever stop firing, the run would only reach a closed
-        // local port, and fail with a connection error instead.
-        let err = dispatch(
-            "loadgen",
-            &args(&["--addr", "127.0.0.1:1", "--check", "BENCH_serve.json"]),
-        )
-        .unwrap_err();
-        assert_eq!(err.0, "vrecon loadgen does not take --check");
     }
 }

@@ -1,11 +1,12 @@
-//! Property-based invariants of the workstation model.
+//! Property-based invariants of the workstation model. Case `i` of a
+//! property draws its inputs from `SimRng::seed_from(K).fork(i)`.
 
-use proptest::prelude::*;
 use vr_cluster::cpu::CpuParams;
 use vr_cluster::job::{JobClass, JobId, JobSpec, MemoryProfile, RunningJob};
 use vr_cluster::memory::{FaultModel, MemoryParams};
 use vr_cluster::node::{NodeId, NodeParams, Workstation};
 use vr_cluster::units::Bytes;
+use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 
 #[derive(Debug, Clone)]
@@ -15,12 +16,12 @@ struct JobDesc {
     ramp: bool,
 }
 
-fn job_strategy() -> impl Strategy<Value = JobDesc> {
-    (4u64..120, 5.0f64..300.0, any::<bool>()).prop_map(|(ws_mb, work_secs, ramp)| JobDesc {
-        ws_mb,
-        work_secs,
-        ramp,
-    })
+fn job_desc(rng: &mut SimRng) -> JobDesc {
+    JobDesc {
+        ws_mb: 4 + rng.index(116) as u64,
+        work_secs: rng.uniform_range(5.0, 300.0),
+        ramp: rng.next_u64() & 1 == 1,
+    }
 }
 
 fn build_job(id: u64, desc: &JobDesc) -> RunningJob {
@@ -63,45 +64,47 @@ fn node(kappa: f64) -> Workstation {
 
 /// A job whose working set steps through up to five phases, each boundary
 /// a fraction of its CPU work.
-fn phased_job_strategy() -> impl Strategy<Value = RunningJob> {
-    (
-        5.0f64..300.0,
-        4u64..120,
-        prop::collection::vec((0.02f64..0.98, 4u64..120), 0..5),
-    )
-        .prop_map(|(work_secs, last_mb, cuts)| {
-            let mut phases: Vec<(SimSpan, Bytes)> = cuts
-                .into_iter()
-                .map(|(f, mb)| (SimSpan::from_secs_f64(work_secs * f), Bytes::from_mb(mb)))
-                .collect();
-            phases.sort_by_key(|&(until, _)| until);
-            phases.dedup_by_key(|&mut (until, _)| until);
-            phases.push((SimSpan::MAX, Bytes::from_mb(last_mb)));
-            RunningJob::new(JobSpec {
-                id: JobId(0),
-                name: "phased".to_owned(),
-                class: JobClass::CpuIntensive,
-                submit: SimTime::ZERO,
-                cpu_work: SimSpan::from_secs_f64(work_secs),
-                memory: MemoryProfile::from_phases(phases).expect("sorted, deduplicated"),
-                io_rate: 0.0,
-                malleable: None,
-            })
+fn phased_job(rng: &mut SimRng) -> RunningJob {
+    let work_secs = rng.uniform_range(5.0, 300.0);
+    let last_mb = 4 + rng.index(116) as u64;
+    let mut phases: Vec<(SimSpan, Bytes)> = (0..rng.index(5))
+        .map(|_| {
+            let f = rng.uniform_range(0.02, 0.98);
+            let mb = 4 + rng.index(116) as u64;
+            (SimSpan::from_secs_f64(work_secs * f), Bytes::from_mb(mb))
         })
+        .collect();
+    phases.sort_by_key(|&(until, _)| until);
+    phases.dedup_by_key(|&mut (until, _)| until);
+    phases.push((SimSpan::MAX, Bytes::from_mb(last_mb)));
+    RunningJob::new(JobSpec {
+        id: JobId(0),
+        name: "phased".to_owned(),
+        class: JobClass::CpuIntensive,
+        submit: SimTime::ZERO,
+        cpu_work: SimSpan::from_secs_f64(work_secs),
+        memory: MemoryProfile::from_phases(phases).expect("sorted, deduplicated"),
+        io_rate: 0.0,
+        malleable: None,
+    })
 }
 
-proptest! {
-    /// The phase memo is invisible: after arbitrary `advance_to` steps,
-    /// every resident job's working set and next phase boundary equal a
-    /// memo-free `phase_at` lookup of its progress, on the first read and
-    /// again on a second read at unchanged progress (the memo's exact-bits
-    /// path).
-    #[test]
-    fn phase_memo_matches_fresh_lookup(
-        jobs in prop::collection::vec(phased_job_strategy(), 1..8),
-        steps in prop::collection::vec(1u64..40_000_000, 1..12),
-        kappa in 0.5f64..8.0,
-    ) {
+/// The phase memo is invisible: after arbitrary `advance_to` steps,
+/// every resident job's working set and next phase boundary equal a
+/// memo-free `phase_at` lookup of its progress, on the first read and
+/// again on a second read at unchanged progress (the memo's exact-bits
+/// path).
+#[test]
+fn phase_memo_matches_fresh_lookup() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(1).fork(case);
+        let jobs: Vec<RunningJob> = (0..1 + rng.index(7))
+            .map(|_| phased_job(&mut rng))
+            .collect();
+        let steps: Vec<u64> = (0..1 + rng.index(11))
+            .map(|_| 1 + rng.index(39_999_999) as u64)
+            .collect();
+        let kappa = rng.uniform_range(0.5, 8.0);
         let mut node = node(kappa);
         for (i, mut job) in jobs.into_iter().enumerate() {
             job.spec.id = JobId(i as u64);
@@ -115,54 +118,65 @@ proptest! {
                 let (until, working_set) = job.spec.memory.phase_at(job.progress());
                 let boundary = (until != SimSpan::MAX).then_some(until);
                 for _ in 0..2 {
-                    prop_assert_eq!(job.current_working_set(), working_set);
-                    prop_assert_eq!(job.next_phase_boundary(), boundary);
+                    assert_eq!(job.current_working_set(), working_set);
+                    assert_eq!(job.next_phase_boundary(), boundary);
                 }
             }
         }
     }
+}
 
-    /// Each resident job's breakdown always sums to its wall-clock
-    /// residency, regardless of load, phases, or fault pressure.
-    #[test]
-    fn breakdown_equals_residency(
-        descs in prop::collection::vec(job_strategy(), 1..10),
-        horizon in 1u64..2_000,
-        kappa in 0.5f64..8.0,
-    ) {
+/// Each resident job's breakdown always sums to its wall-clock
+/// residency, regardless of load, phases, or fault pressure.
+#[test]
+fn breakdown_equals_residency() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(2).fork(case);
+        let descs: Vec<JobDesc> = (0..1 + rng.index(9)).map(|_| job_desc(&mut rng)).collect();
+        let horizon = 1 + rng.index(1_999) as u64;
+        let kappa = rng.uniform_range(0.5, 8.0);
         let mut node = node(kappa);
         for (i, d) in descs.iter().enumerate() {
-            node.try_admit(build_job(i as u64, d), SimTime::ZERO).unwrap();
+            node.try_admit(build_job(i as u64, d), SimTime::ZERO)
+                .unwrap();
         }
         node.advance_to(SimTime::from_secs(horizon));
         for job in node.jobs() {
             let wall = job.breakdown.wall();
-            prop_assert!(
+            assert!(
                 (wall - horizon as f64).abs() < 1e-6,
                 "resident job wall {wall} vs horizon {horizon}"
             );
         }
         for job in node.take_completed() {
             let done = job.completed_at.unwrap().as_secs_f64();
-            prop_assert!((job.breakdown.wall() - done).abs() < 1e-6);
+            assert!((job.breakdown.wall() - done).abs() < 1e-6);
             // A completed job consumed exactly its CPU work.
-            prop_assert!((job.breakdown.cpu - job.spec.cpu_work.as_secs_f64()).abs() < 1e-6);
+            assert!((job.breakdown.cpu - job.spec.cpu_work.as_secs_f64()).abs() < 1e-6);
         }
     }
+}
 
-    /// Advancing in one step or in many arbitrary steps gives identical
-    /// progress (the lazy integrator is self-consistent).
-    #[test]
-    fn advancement_is_step_invariant(
-        descs in prop::collection::vec(job_strategy(), 1..6),
-        cuts in prop::collection::vec(1u64..500, 1..8),
-    ) {
+/// Advancing in one step or in many arbitrary steps gives identical
+/// progress (the lazy integrator is self-consistent).
+#[test]
+fn advancement_is_step_invariant() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(3).fork(case);
+        let descs: Vec<JobDesc> = (0..1 + rng.index(5)).map(|_| job_desc(&mut rng)).collect();
+        let cuts: Vec<u64> = (0..1 + rng.index(7))
+            .map(|_| 1 + rng.index(499) as u64)
+            .collect();
         let total: u64 = cuts.iter().sum();
         let mut one_shot = node(4.0);
         let mut stepped = node(4.0);
         for (i, d) in descs.iter().enumerate() {
-            one_shot.try_admit(build_job(i as u64, d), SimTime::ZERO).unwrap();
-            stepped.try_admit(build_job(i as u64, d), SimTime::ZERO).unwrap();
+            one_shot
+                .try_admit(build_job(i as u64, d), SimTime::ZERO)
+                .unwrap();
+            stepped
+                .try_admit(build_job(i as u64, d), SimTime::ZERO)
+                .unwrap();
         }
         one_shot.advance_to(SimTime::from_secs(total));
         let mut t = 0;
@@ -172,14 +186,14 @@ proptest! {
         }
         let a = one_shot.take_completed();
         let b = stepped.take_completed();
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         for job in one_shot.jobs() {
             let twin = stepped
                 .jobs()
                 .iter()
                 .find(|j| j.id() == job.id())
                 .expect("same resident set");
-            prop_assert!(
+            assert!(
                 (job.progress_secs - twin.progress_secs).abs() < 1e-6,
                 "progress diverged: {} vs {}",
                 job.progress_secs,
@@ -187,16 +201,21 @@ proptest! {
             );
         }
     }
+}
 
-    /// Progress is monotone and never exceeds the job's total work.
-    #[test]
-    fn progress_is_monotone_and_bounded(
-        descs in prop::collection::vec(job_strategy(), 1..6),
-        steps in prop::collection::vec(1u64..200, 1..10),
-    ) {
+/// Progress is monotone and never exceeds the job's total work.
+#[test]
+fn progress_is_monotone_and_bounded() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(4).fork(case);
+        let descs: Vec<JobDesc> = (0..1 + rng.index(5)).map(|_| job_desc(&mut rng)).collect();
+        let steps: Vec<u64> = (0..1 + rng.index(9))
+            .map(|_| 1 + rng.index(199) as u64)
+            .collect();
         let mut node = node(4.0);
         for (i, d) in descs.iter().enumerate() {
-            node.try_admit(build_job(i as u64, d), SimTime::ZERO).unwrap();
+            node.try_admit(build_job(i as u64, d), SimTime::ZERO)
+                .unwrap();
         }
         let mut last: std::collections::BTreeMap<JobId, f64> = Default::default();
         let mut t = 0;
@@ -205,47 +224,56 @@ proptest! {
             node.advance_to(SimTime::from_secs(t));
             for job in node.jobs() {
                 let prev = last.insert(job.id(), job.progress_secs).unwrap_or(0.0);
-                prop_assert!(job.progress_secs + 1e-9 >= prev);
-                prop_assert!(job.progress_secs <= job.spec.cpu_work.as_secs_f64() + 1e-6);
+                assert!(job.progress_secs + 1e-9 >= prev);
+                assert!(job.progress_secs <= job.spec.cpu_work.as_secs_f64() + 1e-6);
             }
         }
     }
+}
 
-    /// The fault model's stall factors are non-negative, finite, and scale
-    /// monotonically with each job's working-set share.
-    #[test]
-    fn stall_factors_are_sane(
-        ws in prop::collection::vec(1u64..512, 1..12),
-        user_mb in 32u64..512,
-        kappa in 0.1f64..16.0,
-    ) {
+/// The fault model's stall factors are non-negative, finite, and scale
+/// monotonically with each job's working-set share.
+#[test]
+fn stall_factors_are_sane() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(5).fork(case);
+        let ws: Vec<u64> = (0..1 + rng.index(11))
+            .map(|_| 1 + rng.index(511) as u64)
+            .collect();
+        let user_mb = 32 + rng.index(480) as u64;
+        let kappa = rng.uniform_range(0.1, 16.0);
         let sets: Vec<Bytes> = ws.iter().map(|m| Bytes::from_mb(*m)).collect();
         let model = FaultModel::LinearOverflow { kappa };
         let factors = model.stall_factors(&sets, Bytes::from_mb(user_mb));
-        prop_assert_eq!(factors.len(), sets.len());
+        assert_eq!(factors.len(), sets.len());
         for f in &factors {
-            prop_assert!(f.is_finite() && *f >= 0.0);
+            assert!(f.is_finite() && *f >= 0.0);
         }
         // Bigger working set never stalls less.
         for i in 0..sets.len() {
             for j in 0..sets.len() {
                 if sets[i] > sets[j] {
-                    prop_assert!(factors[i] >= factors[j] - 1e-12);
+                    assert!(factors[i] >= factors[j] - 1e-12);
                 }
             }
         }
     }
+}
 
-    /// Migration cost is monotone in image size and bounded below by the
-    /// fixed remote-submission cost.
-    #[test]
-    fn migration_cost_is_monotone(a in 0u64..1_000_000_000, b in 0u64..1_000_000_000) {
+/// Migration cost is monotone in image size and bounded below by the
+/// fixed remote-submission cost.
+#[test]
+fn migration_cost_is_monotone() {
+    for case in 0..256 {
+        let mut rng = SimRng::seed_from(6).fork(case);
+        let a = rng.index(1_000_000_000) as u64;
+        let b = rng.index(1_000_000_000) as u64;
         let net = vr_cluster::network::NetworkParams::ethernet_10mbps();
         let ca = net.migration_cost(Bytes::new(a));
         let cb = net.migration_cost(Bytes::new(b));
-        prop_assert!(ca >= net.remote_submit_cost);
+        assert!(ca >= net.remote_submit_cost);
         if a <= b {
-            prop_assert!(ca <= cb);
+            assert!(ca <= cb);
         }
     }
 }
@@ -289,27 +317,25 @@ enum IndexOp {
     },
 }
 
-fn index_op_strategy() -> impl Strategy<Value = IndexOp> {
-    (
-        0u32..13,
-        any::<u32>(),
-        4u64..260,
-        5.0f64..200.0,
-        1u64..90,
-        any::<bool>(),
-    )
-        .prop_map(|(kind, node, ws_mb, work_secs, secs, on)| match kind {
-            0..=4 => IndexOp::Admit {
-                node,
-                ws_mb,
-                work_secs,
-            },
-            5 | 6 => IndexOp::RemoveFirst { node },
-            7..=9 => IndexOp::Advance { secs },
-            10 => IndexOp::Crash { node },
-            11 => IndexOp::Restart { node },
-            _ => IndexOp::Reserve { node, on },
-        })
+fn index_op(rng: &mut SimRng) -> IndexOp {
+    let kind = rng.index(13);
+    let node = rng.next_u64() as u32;
+    let ws_mb = 4 + rng.index(256) as u64;
+    let work_secs = rng.uniform_range(5.0, 200.0);
+    let secs = 1 + rng.index(89) as u64;
+    let on = rng.next_u64() & 1 == 1;
+    match kind {
+        0..=4 => IndexOp::Admit {
+            node,
+            ws_mb,
+            work_secs,
+        },
+        5 | 6 => IndexOp::RemoveFirst { node },
+        7..=9 => IndexOp::Advance { secs },
+        10 => IndexOp::Crash { node },
+        11 => IndexOp::Restart { node },
+        _ => IndexOp::Reserve { node, on },
+    }
 }
 
 /// The documented linear-scan equivalent of `best_destination_where`.
@@ -400,24 +426,20 @@ fn assert_queries_match(index: &LoadIndex, world: &[Workstation], inbound: &[(By
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
-
-    /// On a randomly churned world of arbitrary size, both ordered walks
-    /// equal their linear-scan specifications, the placement walk under a
-    /// random per-node inbound load included, and incremental
-    /// `refresh_targets` over exactly the touched nodes is
-    /// indistinguishable from a full rebuild.
-    #[test]
-    fn ordered_index_is_equivalent_to_linear_scans(
-        n_nodes in 1usize..80,
-        ops in prop::collection::vec(index_op_strategy(), 1..60),
-        kappa in 0.5f64..6.0,
-        inbound in prop::collection::vec((0u64..400, 0u32..5), 80..81),
-    ) {
-        let inbound: Vec<(Bytes, u32)> = inbound
-            .into_iter()
-            .map(|(mb, slots)| (Bytes::from_mb(mb), slots))
+/// On a randomly churned world of arbitrary size, both ordered walks
+/// equal their linear-scan specifications, the placement walk under a
+/// random per-node inbound load included, and incremental
+/// `refresh_targets` over exactly the touched nodes is
+/// indistinguishable from a full rebuild.
+#[test]
+fn ordered_index_is_equivalent_to_linear_scans() {
+    for case in 0..48 {
+        let mut rng = SimRng::seed_from(7).fork(case);
+        let n_nodes = 1 + rng.index(79);
+        let ops: Vec<IndexOp> = (0..1 + rng.index(59)).map(|_| index_op(&mut rng)).collect();
+        let kappa = rng.uniform_range(0.5, 6.0);
+        let inbound: Vec<(Bytes, u32)> = (0..80)
+            .map(|_| (Bytes::from_mb(rng.index(400) as u64), rng.index(5) as u32))
             .collect();
         let mut world: Vec<Workstation> = (0..n_nodes)
             .map(|i| {
@@ -445,9 +467,20 @@ proptest! {
         for op in ops {
             let mut touched: Vec<NodeId> = Vec::new();
             match op {
-                IndexOp::Admit { node, ws_mb, work_secs } => {
+                IndexOp::Admit {
+                    node,
+                    ws_mb,
+                    work_secs,
+                } => {
                     let i = node as usize % world.len();
-                    let job = build_job(next_job, &JobDesc { ws_mb, work_secs, ramp: false });
+                    let job = build_job(
+                        next_job,
+                        &JobDesc {
+                            ws_mb,
+                            work_secs,
+                            ramp: false,
+                        },
+                    );
                     next_job += 1;
                     // try_admit advances the node even on rejection, so the
                     // node is touched either way.
@@ -490,7 +523,10 @@ proptest! {
             }
             full.refresh(world.iter());
             incremental.refresh_targets(&world, touched.iter().copied());
-            prop_assert_eq!(&full, &incremental, "incremental refresh diverged from rebuild");
+            assert_eq!(
+                &full, &incremental,
+                "incremental refresh diverged from rebuild"
+            );
             assert_queries_match(&incremental, &world, &inbound);
         }
     }

@@ -285,6 +285,9 @@ impl SimConfig {
         if self.cluster.nodes.is_empty() {
             return Err("cluster has no workstations".into());
         }
+        if let Some(i) = self.cluster.nodes.iter().position(|n| n.cpu.slots == 0) {
+            return Err(format!("workstation {i} has no CPU slots"));
+        }
         // Building the policy plugin validates the parameter bag (unknown
         // keys, unparsable or out-of-range values).
         build_policy(self.policy, &self.policy_params)?;

@@ -2,13 +2,14 @@
 //! operation sequences must never double-reserve a workstation, never leak
 //! a reservation, and always keep the counter balance
 //! `started == released_after_service + released_unused + timed_out +
-//! active`.
+//! active`. Case `i` of a property draws its operations from
+//! `SimRng::seed_from(K).fork(i)`.
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
 use vr_cluster::job::JobId;
 use vr_cluster::node::NodeId;
+use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vrecon::config::ReservationOptions;
 use vrecon::reservation::{ReservationManager, ReservationPhase};
@@ -28,26 +29,29 @@ enum Op {
     Advance(u16),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (any::<u64>(), any::<u64>()).prop_map(|(a, b)| {
-        let node = (a % CLUSTER_SIZE as u64) as u8;
-        let job = (b % 6) as u8;
-        let dt = (b % 400) as u16;
-        match a % 11 {
-            0..=2 => Op::Begin(node),
-            3 | 4 => Op::RecordService(node, job),
-            5 | 6 => Op::NoteCompletion(node, job),
-            7 => Op::ReleaseUnused(node),
-            8 => Op::SweepTimeouts,
-            _ => Op::Advance(dt),
-        }
-    })
+fn op(rng: &mut SimRng) -> Op {
+    let (a, b) = (rng.next_u64(), rng.next_u64());
+    let node = (a % CLUSTER_SIZE as u64) as u8;
+    let job = (b % 6) as u8;
+    let dt = (b % 400) as u16;
+    match a % 11 {
+        0..=2 => Op::Begin(node),
+        3 | 4 => Op::RecordService(node, job),
+        5 | 6 => Op::NoteCompletion(node, job),
+        7 => Op::ReleaseUnused(node),
+        8 => Op::SweepTimeouts,
+        _ => Op::Advance(dt),
+    }
+}
+
+/// Between 1 and 119 operations.
+fn ops(rng: &mut SimRng) -> Vec<Op> {
+    (0..1 + rng.index(119)).map(|_| op(rng)).collect()
 }
 
 /// Replays `ops` with legality guards, checking the invariants after every
-/// step (assertions panic on violation, as the vendored proptest's
-/// `prop_assert!` does). Returns the manager and the final clock for
-/// end-state checks.
+/// step (assertions panic on violation). Returns the manager and the final
+/// clock for end-state checks.
 fn drive(ops: &[Op]) -> (ReservationManager, SimTime) {
     let options = ReservationOptions {
         reserve_timeout: SimSpan::from_secs(300),
@@ -93,7 +97,7 @@ fn check_invariants(mgr: &ReservationManager, cap: usize) {
     let stats = mgr.stats();
     let active = mgr.reserved_count() as u64;
     // Balance: every started reservation is accounted for exactly once.
-    prop_assert_eq!(
+    assert_eq!(
         stats.started,
         stats.released_after_service + stats.released_unused + stats.timed_out + active,
         "balance broken: {:?} with {} active",
@@ -101,57 +105,50 @@ fn check_invariants(mgr: &ReservationManager, cap: usize) {
         active
     );
     // The cap is never exceeded.
-    prop_assert!(active as usize <= cap, "{active} reserved over cap {cap}");
+    assert!(active as usize <= cap, "{active} reserved over cap {cap}");
     // No workstation appears twice (no double-reserve).
     let mut seen = BTreeSet::new();
     for r in mgr.reservations() {
-        prop_assert!(seen.insert(r.node), "{} reserved twice", r.node);
+        assert!(seen.insert(r.node), "{} reserved twice", r.node);
         // A Serving reservation always has a non-empty served set.
         if r.phase == ReservationPhase::Serving {
-            prop_assert!(!r.served.is_empty(), "{} serving nothing", r.node);
+            assert!(!r.served.is_empty(), "{} serving nothing", r.node);
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64,
-        ..ProptestConfig::default()
-    })]
-
-    /// Invariants hold after every operation of any guarded sequence.
-    #[test]
-    fn guarded_sequences_preserve_invariants(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
-        drive(&ops);
+/// Invariants hold after every operation of any guarded sequence.
+#[test]
+fn guarded_sequences_preserve_invariants() {
+    for case in 0..64 {
+        drive(&ops(&mut SimRng::seed_from(1).fork(case)));
     }
+}
 
-    /// Nothing leaks: after draining every reservation by force, the
-    /// balance closes with zero active and the books stay consistent.
-    #[test]
-    fn reservations_never_leak(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
-        let (mut mgr, _now) = drive(&ops);
+/// Nothing leaks: after draining every reservation by force, the
+/// balance closes with zero active and the books stay consistent.
+#[test]
+fn reservations_never_leak() {
+    for case in 0..64 {
+        let (mut mgr, _now) = drive(&ops(&mut SimRng::seed_from(2).fork(case)));
         for n in 0..CLUSTER_SIZE {
             mgr.release_unused(NodeId(n as u32));
         }
-        prop_assert_eq!(mgr.reserved_count(), 0);
+        assert_eq!(mgr.reserved_count(), 0);
         let stats = mgr.stats();
-        prop_assert_eq!(
+        assert_eq!(
             stats.started,
             stats.released_after_service + stats.released_unused + stats.timed_out
         );
     }
+}
 
-    /// Timed-out reservations are only ever taken from the Reserving phase:
-    /// serving nodes survive any sweep.
-    #[test]
-    fn sweeps_never_abandon_serving_nodes(
-        ops in prop::collection::vec(op_strategy(), 1..120)
-    ) {
-        let (mut mgr, now) = drive(&ops);
+/// Timed-out reservations are only ever taken from the Reserving phase:
+/// serving nodes survive any sweep.
+#[test]
+fn sweeps_never_abandon_serving_nodes() {
+    for case in 0..64 {
+        let (mut mgr, now) = drive(&ops(&mut SimRng::seed_from(3).fork(case)));
         let serving: Vec<NodeId> = mgr
             .reservations()
             .iter()
@@ -161,8 +158,8 @@ proptest! {
         let far_future = now + SimSpan::from_secs(1_000_000);
         let expired = mgr.sweep_timeouts(far_future);
         for node in &serving {
-            prop_assert!(!expired.contains(node), "{node} abandoned while serving");
-            prop_assert!(mgr.is_reserved(*node), "{node} vanished in a sweep");
+            assert!(!expired.contains(node), "{node} abandoned while serving");
+            assert!(mgr.is_reserved(*node), "{node} vanished in a sweep");
         }
     }
 }

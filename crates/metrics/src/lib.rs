@@ -14,8 +14,6 @@
 //! * [`table`] — fixed-width / CSV rendering for the figure binaries.
 //! * [`throughput`] — [`ThroughputSummary`]: simulator events/second
 //!   accounting for the experiment runner's sweep telemetry.
-//! * [`latency`] — [`LatencySummary`]: request-latency percentiles and
-//!   QPS for the `vrecon serve` load generator's document.
 //!
 //! ```
 //! use vr_metrics::comparison::MetricComparison;
@@ -29,7 +27,6 @@
 
 pub mod comparison;
 pub mod fairness;
-pub mod latency;
 pub mod sampler;
 pub mod summary;
 pub mod table;
@@ -37,7 +34,6 @@ pub mod throughput;
 
 pub use comparison::MetricComparison;
 pub use fairness::{jain_index, worst_to_mean};
-pub use latency::LatencySummary;
 pub use sampler::{balance_skew, ClusterGauges};
 pub use summary::WorkloadSummary;
 pub use table::TextTable;

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client, enough to talk to `vrecon serve`:
 //! one request per connection, full-response reads, no keep-alive. Used
-//! by `vrecon loadgen`, the serve integration tests, and anyone who
-//! wants to query the service without reaching for curl.
+//! by the serve integration tests, the benchmark's what-if workloads, and
+//! anyone who wants to query the service without reaching for curl.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -30,11 +30,6 @@ impl Stopwatch {
         Stopwatch(Instant::now())
     }
 
-    /// Seconds elapsed since [`start`](Stopwatch::start).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-
     /// Milliseconds elapsed since [`start`](Stopwatch::start).
     pub fn elapsed_ms(&self) -> f64 {
         self.0.elapsed().as_secs_f64() * 1e3
@@ -54,7 +49,6 @@ mod tests {
     fn stopwatch_measures_forward_time() {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(5));
-        assert!(sw.elapsed_secs() > 0.0);
         assert!(sw.elapsed_ms() >= 5.0 * 0.5, "{}", sw.elapsed_ms());
         assert!(sw.expired(Duration::from_millis(1)));
         assert!(!sw.expired(Duration::from_secs(3600)));

@@ -23,8 +23,8 @@
 //! * [`hook`] — per-request structured records ([`RequestRecord`]) via
 //!   the same hook-seam pattern as the engine's `EventHook`, with a JSONL
 //!   sink.
-//! * [`client`] / [`loadgen`] — the blocking client and the phased load
-//!   generator behind `vrecon loadgen`.
+//! * [`client`] — the blocking client the integration tests and the
+//!   benchmark's what-if workloads drive the server with.
 //! * [`clock`] — the only module allowed to read the wall clock
 //!   (enforced by `vrecon analyze`); everything else handles opaque
 //!   [`clock::Stopwatch`] values.
@@ -36,11 +36,9 @@ pub mod client;
 pub mod clock;
 pub mod hook;
 pub mod http;
-pub mod loadgen;
 pub mod server;
 pub mod state;
 
 pub use client::{request, ClientResponse};
 pub use hook::{JsonlRequestLog, NullHook, Outcome, RequestHook, RequestRecord};
-pub use loadgen::{heavy_scenario, run_loadgen, LoadgenConfig};
 pub use server::{start, ServeConfig, ServeState, ServerHandle};

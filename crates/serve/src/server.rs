@@ -97,8 +97,8 @@ pub struct ServeState {
 
 impl ServeState {
     /// Renders the `/stats` document. This is the server's public
-    /// self-description: `vrecon loadgen` reads it to self-configure and
-    /// to compute per-phase counter deltas.
+    /// self-description: clients read counter deltas from it, as CI's
+    /// `serve-smoke` job and the benchmark's what-if workloads do.
     pub fn stats_json(&self) -> Json {
         let cache = self.cache.stats();
         Json::obj([

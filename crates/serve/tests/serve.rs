@@ -1,23 +1,52 @@
 //! End-to-end tests of `vrecon serve` over real sockets: byte-identity
-//! across tiers, worker counts, and restarts; protocol rejection paths;
-//! request coalescing; bounded admission; and corrupt-cache recovery.
+//! across tiers, worker counts, and restarts; cold misses and hot
+//! repeats; protocol rejection paths; request coalescing; bounded
+//! admission; and corrupt-cache recovery.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vr_check::fuzz::generate;
-use vr_serve::{request, start, ServeConfig};
+use vr_check::fuzz::{generate, CheckScenario, ScenarioJob, ScenarioNode};
+use vr_serve::{request, start, ClientResponse, ServeConfig};
 use vr_simcore::jsonio::Json;
-use vrecon::encode_report;
+use vrecon::{encode_report, ParamBag, PolicyKind};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
 /// A scenario heavy enough (~2 s in a debug build) that a second request
 /// reliably arrives while it is still simulating.
 const HEAVY_JOBS: usize = 1200;
+
+/// A scenario that takes real wall time to simulate: a small, memory-
+/// starved cluster fed a long stream of paging-heavy jobs. Distinct
+/// `variant` values produce distinct content hashes at identical cost.
+fn heavy_scenario(variant: u64, jobs: usize) -> CheckScenario {
+    CheckScenario {
+        nodes: vec![
+            ScenarioNode {
+                user_mb: 64,
+                slots: 2
+            };
+            4
+        ],
+        policy: PolicyKind::VReconfiguration,
+        policy_params: ParamBag::new(),
+        seed: 9_000 + variant,
+        max_sim_time_s: 200_000,
+        jobs: (0..jobs as u64)
+            .map(|i| ScenarioJob {
+                submit_us: i * 100_000,
+                cpu_work_us: 30_000_000,
+                ws_mb: 48,
+                malleable: None,
+            })
+            .collect(),
+        fault_plan: None,
+    }
+}
 
 fn tmp_cache(tag: &str) -> PathBuf {
     // Compile-time scratch dir: the serve crate may not read the process
@@ -54,6 +83,35 @@ fn stats(addr: std::net::SocketAddr) -> Json {
 
 fn stat(doc: &Json, key: &str) -> u64 {
     doc.get(key).and_then(Json::as_u64).unwrap()
+}
+
+fn corrupt_entries(doc: &Json) -> u64 {
+    doc.get("cache")
+        .and_then(|c| c.get("corrupt_entries"))
+        .and_then(Json::as_u64)
+        .unwrap()
+}
+
+/// POSTs every body to `/run`, spread over `threads` client threads.
+fn post_from_threads(addr: SocketAddr, bodies: &[String], threads: usize) -> Vec<ClientResponse> {
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..threads)
+            .map(|t| {
+                scope.spawn(move || {
+                    bodies
+                        .iter()
+                        .skip(t)
+                        .step_by(threads)
+                        .map(|body| request(addr, "POST", "/run", body, TIMEOUT).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().unwrap())
+            .collect()
+    })
 }
 
 #[test]
@@ -110,6 +168,41 @@ fn responses_are_byte_identical_across_tiers_workers_and_restarts() {
 }
 
 #[test]
+fn distinct_cold_specs_miss_once_and_their_repeats_hit_hot() {
+    let server = start(test_config("cold-warm")).unwrap();
+    let addr = server.addr();
+    let specs: Vec<String> = (0..16).map(|i| generate(42, i).render()).collect();
+
+    // Cold: every distinct spec runs exactly one simulation.
+    for resp in post_from_threads(addr, &specs, 4) {
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.header("x-vrecon-outcome"), Some("miss"));
+    }
+    let doc = stats(addr);
+    assert_eq!(stat(&doc, "sims_executed"), 16, "{doc:?}");
+    assert_eq!(stat(&doc, "hot_hits"), 0, "{doc:?}");
+    assert_eq!(stat(&doc, "disk_hits"), 0, "{doc:?}");
+
+    // Warm: round-robin repeats all come from the hot tier.
+    let repeats: Vec<String> = (0..64).map(|i| specs[i % specs.len()].clone()).collect();
+    for resp in post_from_threads(addr, &repeats, 4) {
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.header("x-vrecon-outcome"), Some("hot"));
+    }
+    let doc = stats(addr);
+    assert_eq!(
+        stat(&doc, "sims_executed"),
+        16,
+        "repeats must not re-simulate"
+    );
+    assert_eq!(stat(&doc, "hot_hits"), 64, "{doc:?}");
+    assert_eq!(stat(&doc, "disk_hits"), 0, "{doc:?}");
+    assert_eq!(stat(&doc, "in_flight"), 0, "{doc:?}");
+    assert_eq!(corrupt_entries(&doc), 0, "{doc:?}");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_wellformed_errors() {
     let server = start(test_config("errors")).unwrap();
     let addr = server.addr();
@@ -157,7 +250,7 @@ fn identical_concurrent_requests_coalesce_onto_one_simulation() {
     let server = start(test_config("coalesce")).unwrap();
     let addr = server.addr();
     let state = Arc::clone(server.state());
-    let spec = vr_serve::heavy_scenario(0, HEAVY_JOBS).render();
+    let spec = heavy_scenario(0, HEAVY_JOBS).render();
 
     let leader = {
         let spec = spec.clone();
@@ -211,7 +304,7 @@ fn cold_requests_past_max_inflight_are_shed_with_503() {
     let state = Arc::clone(server.state());
 
     let filler = {
-        let spec = vr_serve::heavy_scenario(1, HEAVY_JOBS).render();
+        let spec = heavy_scenario(1, HEAVY_JOBS).render();
         std::thread::spawn(move || request(addr, "POST", "/run", &spec, TIMEOUT).unwrap())
     };
     let watch = vr_serve::clock::Stopwatch::start();
@@ -227,7 +320,7 @@ fn cold_requests_past_max_inflight_are_shed_with_503() {
         addr,
         "POST",
         "/run",
-        &vr_serve::heavy_scenario(2, HEAVY_JOBS).render(),
+        &heavy_scenario(2, HEAVY_JOBS).render(),
         TIMEOUT,
     )
     .unwrap();
@@ -276,12 +369,7 @@ fn corrupt_cache_entry_is_recomputed_not_served() {
     assert_eq!(resp.header("x-vrecon-outcome"), Some("miss"));
     assert_eq!(resp.body, want);
     let doc = stats(addr);
-    let corrupt = doc
-        .get("cache")
-        .and_then(|c| c.get("corrupt_entries"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert_eq!(corrupt, 1, "{doc:?}");
+    assert_eq!(corrupt_entries(&doc), 1, "{doc:?}");
     // The repaired entry hits from disk-backed state after the corrupt
     // one was quarantined.
     assert!(cache_dir.join(format!("{hash}.json.corrupt")).exists());

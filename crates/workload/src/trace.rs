@@ -158,7 +158,8 @@ impl Trace {
         self.jobs.iter().map(|j| j.cpu_work.as_secs_f64()).sum()
     }
 
-    /// Checks the trace's structural invariants (ordering, id sequence).
+    /// Checks the trace's structural invariants: id sequence, submission
+    /// order, non-zero work and valid malleable ranges.
     ///
     /// # Errors
     ///
@@ -173,6 +174,9 @@ impl Trace {
             }
             if job.cpu_work.is_zero() {
                 return Err(format!("job {i} has zero CPU work"));
+            }
+            if let Some(malleable) = &job.malleable {
+                malleable.validate().map_err(|e| format!("job {i}: {e}"))?;
             }
         }
         Ok(())

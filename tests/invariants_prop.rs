@@ -1,8 +1,8 @@
 //! Property-based invariants of the whole simulator: random workloads on
 //! random small clusters must preserve the accounting identities regardless
-//! of policy.
+//! of policy. Case `i` of a property draws its workload from
+//! `SimRng::seed_from(K).fork(i)`.
 
-use proptest::prelude::*;
 use vrecon_repro::prelude::*;
 
 /// A randomly generated workload description.
@@ -17,31 +17,16 @@ struct RandomWorkload {
     policy: PolicyKind,
 }
 
-fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
-    prop::sample::select(PolicyKind::ALL.to_vec())
-}
-
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (
-        any::<u64>(),
-        2usize..40,
-        2usize..10,
-        prop::sample::select(vec![64u64, 128, 256]),
-        0.1f64..0.9,
-        0.05f64..0.5,
-        policy_strategy(),
-    )
-        .prop_map(
-            |(seed, jobs, nodes, node_mb, max_ws_frac, arrival_rate, policy)| RandomWorkload {
-                seed,
-                jobs,
-                nodes,
-                node_mb,
-                max_ws_frac,
-                arrival_rate,
-                policy,
-            },
-        )
+fn workload(rng: &mut SimRng) -> RandomWorkload {
+    RandomWorkload {
+        seed: rng.next_u64(),
+        jobs: 2 + rng.index(38),
+        nodes: 2 + rng.index(8),
+        node_mb: *rng.choose(&[64, 128, 256]),
+        max_ws_frac: rng.uniform_range(0.1, 0.9),
+        arrival_rate: rng.uniform_range(0.05, 0.5),
+        policy: *rng.choose(&PolicyKind::ALL),
+    }
 }
 
 fn build_trace(w: &RandomWorkload) -> Trace {
@@ -97,54 +82,76 @@ fn run(w: &RandomWorkload) -> RunReport {
     Simulation::new(SimConfig::new(cluster, w.policy).with_seed(w.seed ^ 0xabcd)).run(&trace)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48,
-        ..ProptestConfig::default()
-    })]
-
-    /// Every job completes and its wall-clock identity holds.
-    #[test]
-    fn jobs_complete_and_breakdowns_are_exact(w in workload_strategy()) {
+/// Every job completes and its wall-clock identity holds.
+#[test]
+fn jobs_complete_and_breakdowns_are_exact() {
+    for case in 0..48 {
+        let w = workload(&mut SimRng::seed_from(1).fork(case));
         let report = run(&w);
-        prop_assert!(report.all_completed(), "{} unfinished under {}", report.unfinished_jobs, w.policy);
-        prop_assert_eq!(report.summary.jobs, w.jobs);
-        prop_assert!(report.check_breakdown_identity(0.05).is_ok());
+        assert!(
+            report.all_completed(),
+            "{} unfinished under {}",
+            report.unfinished_jobs,
+            w.policy
+        );
+        assert_eq!(report.summary.jobs, w.jobs);
+        assert!(report.check_breakdown_identity(0.05).is_ok());
     }
+}
 
-    /// No breakdown component is ever negative and slowdowns are >= ~1.
-    #[test]
-    fn components_are_nonnegative(w in workload_strategy()) {
+/// No breakdown component is ever negative and slowdowns are >= ~1.
+#[test]
+fn components_are_nonnegative() {
+    for case in 0..48 {
+        let w = workload(&mut SimRng::seed_from(2).fork(case));
         let report = run(&w);
         for job in &report.jobs {
             let b = &job.breakdown;
-            prop_assert!(b.cpu >= 0.0 && b.page >= 0.0 && b.queue >= -1e-9 && b.migration >= 0.0,
-                "negative component: {b:?}");
-            prop_assert!(job.slowdown() >= 1.0 - 1e-6, "slowdown {} < 1", job.slowdown());
+            assert!(
+                b.cpu >= 0.0 && b.page >= 0.0 && b.queue >= -1e-9 && b.migration >= 0.0,
+                "negative component: {b:?}"
+            );
+            assert!(
+                job.slowdown() >= 1.0 - 1e-6,
+                "slowdown {} < 1",
+                job.slowdown()
+            );
         }
     }
+}
 
-    /// Reservation accounting always balances.
-    #[test]
-    fn reservations_balance(w in workload_strategy()) {
+/// Reservation accounting always balances.
+#[test]
+fn reservations_balance() {
+    for case in 0..48 {
+        let w = workload(&mut SimRng::seed_from(3).fork(case));
         let report = run(&w);
         let r = report.reservations;
-        prop_assert_eq!(r.started, r.released_after_service + r.released_unused + r.timed_out);
+        assert_eq!(
+            r.started,
+            r.released_after_service + r.released_unused + r.timed_out
+        );
         if w.policy != PolicyKind::VReconfiguration {
-            prop_assert_eq!(r.started, 0);
+            assert_eq!(r.started, 0);
         }
     }
+}
 
-    /// Gauges never go negative and idle memory never exceeds cluster total.
-    #[test]
-    fn gauges_stay_in_range(w in workload_strategy()) {
+/// Gauges never go negative and idle memory never exceeds cluster total.
+#[test]
+fn gauges_stay_in_range() {
+    for case in 0..48 {
+        let w = workload(&mut SimRng::seed_from(4).fork(case));
         let report = run(&w);
         let total_mb = (w.nodes as u64 * w.node_mb) as f64;
         for (_, idle) in report.gauges.physical_idle_memory_mb.iter() {
-            prop_assert!((0.0..=total_mb + 1e-6).contains(&idle), "idle {idle} of {total_mb}");
+            assert!(
+                (0.0..=total_mb + 1e-6).contains(&idle),
+                "idle {idle} of {total_mb}"
+            );
         }
         for (_, skew) in report.gauges.balance_skew.iter() {
-            prop_assert!(skew >= 0.0);
+            assert!(skew >= 0.0);
         }
     }
 }
