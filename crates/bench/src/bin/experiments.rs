@@ -6,7 +6,7 @@
 //! experiment runner: `--jobs N` sets the worker count (0 = auto),
 //! `--no-cache` bypasses the content-addressed result cache. Figure
 //! tables on stdout are bit-identical for any `--jobs` value; progress
-//! and cache telemetry go to stderr; a machine-readable benchmark record
+//! lines and cache notes go to stderr; a machine-readable benchmark record
 //! is written to `BENCH_sweep.json` (override with `VR_BENCH_OUT`).
 
 use std::path::Path;

@@ -243,8 +243,9 @@ impl BenchArgs {
         out
     }
 
-    /// Builds the sweep runner these options describe. `progress` enables
-    /// live per-scenario telemetry lines on stderr.
+    /// Builds the sweep runner these options describe. `progress` makes
+    /// each worker print a `[done/total] label (…)` line on stderr as it
+    /// finishes a scenario.
     pub fn runner(&self, progress: bool) -> Runner {
         let cache = if self.no_cache {
             ResultCache::disabled()

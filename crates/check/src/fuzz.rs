@@ -101,13 +101,20 @@ pub struct CheckScenario {
 /// spec; purely additive keywords do not need a bump.
 pub const WIRE_FORMAT_VERSION: u64 = 1;
 
+/// Largest `max-sim-time-s` a spec may ask for: the longest horizon any
+/// in-tree client sends (the fuzzer generates 900 or 3,600 s). A run that
+/// never finishes simulates up to its horizon, so the bound caps what one
+/// `vrecon serve` request can cost.
+pub const MAX_SIM_TIME_S: u64 = 1_000_000;
+
 impl CheckScenario {
     /// Builds the engine/oracle inputs, validating everything up front.
     ///
     /// # Errors
     ///
-    /// Returns an error if a size or horizon overflows its unit, or if the
-    /// derived config or trace fails validation.
+    /// Returns an error if a size overflows its unit, if the horizon
+    /// exceeds [`MAX_SIM_TIME_S`], or if the derived config or trace fails
+    /// validation.
     pub fn to_sim(&self) -> Result<(SimConfig, Trace), String> {
         fn megabytes(field: &str, mb: u64) -> Result<Bytes, String> {
             mb.checked_mul(1024 * 1024)
@@ -133,16 +140,12 @@ impl CheckScenario {
                 })
             })
             .collect::<Result<Vec<NodeParams>, String>>()?;
-        let max_sim_time = self
-            .max_sim_time_s
-            .checked_mul(1_000_000)
-            .map(SimSpan::from_micros)
-            .ok_or_else(|| {
-                format!(
-                    "max-sim-time-s {} overflows the microsecond clock",
-                    self.max_sim_time_s
-                )
-            })?;
+        if self.max_sim_time_s > MAX_SIM_TIME_S {
+            return Err(format!(
+                "max-sim-time-s {} exceeds the bound of {MAX_SIM_TIME_S} s",
+                self.max_sim_time_s
+            ));
+        }
         let cluster = ClusterParams {
             nodes,
             network: NetworkParams::ethernet_10mbps(),
@@ -151,7 +154,7 @@ impl CheckScenario {
         let mut config = SimConfig::new(cluster, self.policy)
             .with_policy_params(self.policy_params.clone())
             .with_seed(self.seed)
-            .with_max_sim_time(max_sim_time)
+            .with_max_sim_time(SimSpan::from_secs(self.max_sim_time_s))
             .with_audit(true);
         if let Some(plan) = &self.fault_plan {
             config = config.with_faults(plan.clone());
@@ -810,7 +813,8 @@ impl FuzzOutcome {
     }
 }
 
-/// Runs the fuzzer: generate, check, and shrink on a work-stealing pool.
+/// Runs the fuzzer: generate, check, and shrink each iteration on the
+/// runner's pool, whose results come back in iteration order.
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzOutcome {
     let indices: Vec<u64> = (0..opts.iters).collect();
     let skew = opts.skew;
@@ -950,6 +954,10 @@ mod tests {
             (
                 format!("max-sim-time-s 35184372088832\n{NODE}\n{JOB}"),
                 "max-sim-time-s",
+            ),
+            (
+                format!("max-sim-time-s 1000001\n{NODE}\n{JOB}"),
+                "max-sim-time-s 1000001 exceeds the bound of 1000000 s",
             ),
             (
                 format!("node user_mb=17592186044416 slots=2\n{JOB}"),

@@ -35,9 +35,10 @@
 //! `Workstation::segment_rates`), and the plugin families — malleable
 //! resize directives are restated from the policy's documented selection
 //! rules, and fractional slot caps are re-derived from the parameter bag at
-//! construction. Two modes are not modelled yet and are refused rather than
-//! silently replaced by the defaults: [`PlacementMode::CommitAware`] and
-//! [`LoadInfoMode::Staggered`].
+//! construction. One mode is not modelled yet and is refused rather than
+//! silently replaced by the default: [`PlacementMode::CommitAware`]. The
+//! fixed periods and the overload trigger are read from the same
+//! `vrecon::config` constants the engine uses.
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
 use vr_cluster::memory::FaultModel;
@@ -50,7 +51,9 @@ use vr_metrics::summary::WorkloadSummary;
 use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_workload::trace::Trace;
-use vrecon::config::{LoadInfoMode, PendingDiscipline, PlacementMode, ReservingEnd, SimConfig};
+use vrecon::config::{
+    PendingDiscipline, PlacementMode, ReservingEnd, SimConfig, PENDING_RETRY_PERIOD, SAMPLE_PERIOD,
+};
 use vrecon::policy::{FractionalParams, MalleableParams, PolicyKind};
 use vrecon::report::{RunReport, SchedulerCounters};
 use vrecon::reservation::ReservationStats;
@@ -519,10 +522,10 @@ struct Oracle {
 ///
 /// Returns an error if the config or trace fails validation (including an
 /// unbuildable policy parameter bag), or if the config asks for
-/// [`PlacementMode::CommitAware`] or [`LoadInfoMode::Staggered`], which the
-/// oracle does not model. Network RAM, thrashing protection, and the
-/// malleable/fractional plugin families are all modelled — the oracle
-/// re-derives each from the config exactly where the engine does.
+/// [`PlacementMode::CommitAware`], which the oracle does not model.
+/// Network RAM, thrashing protection, and the malleable/fractional plugin
+/// families are all modelled — the oracle re-derives each from the config
+/// exactly where the engine does.
 pub fn run_oracle(
     config: &SimConfig,
     trace: &Trace,
@@ -534,12 +537,6 @@ pub fn run_oracle(
         return Err(format!(
             "the oracle models only optimistic placement, not {:?}",
             config.placement
-        ));
-    }
-    if config.load_info != LoadInfoMode::Global {
-        return Err(format!(
-            "the oracle models only the global load exchange, not {:?}",
-            config.load_info
         ));
     }
     // Re-derive the plugin families' tunables from the parameter bag the
@@ -620,10 +617,7 @@ pub fn run_oracle(
     }
     o.schedule_at(SimTime::ZERO, Ev::Exchange);
     o.schedule_at(SimTime::ZERO, Ev::Sample);
-    o.schedule_at(
-        SimTime::ZERO + config.pending_retry_period,
-        Ev::PendingRetry,
-    );
+    o.schedule_at(SimTime::ZERO + PENDING_RETRY_PERIOD, Ev::PendingRetry);
     if let Some(injector) = &o.faults {
         for crash in injector.crash_schedule() {
             let node = crash.node as u32;
@@ -1697,7 +1691,7 @@ impl Oracle {
                 self.collect_completions(now);
                 self.sample_gauges(now);
                 if !self.done {
-                    self.schedule_in(now, self.config.sample_period, Ev::Sample);
+                    self.schedule_in(now, SAMPLE_PERIOD, Ev::Sample);
                 }
             }
             Ev::PendingRetry => {
@@ -1707,7 +1701,7 @@ impl Oracle {
                 }
                 self.check_done(now);
                 if !self.done {
-                    self.schedule_in(now, self.config.pending_retry_period, Ev::PendingRetry);
+                    self.schedule_in(now, PENDING_RETRY_PERIOD, Ev::PendingRetry);
                 }
             }
             Ev::TransitArrive { job } => {
@@ -1832,14 +1826,6 @@ mod tests {
         let config = config.with_placement(PlacementMode::CommitAware);
         let err = run_oracle(&config, &trace, OracleSkew::None).unwrap_err();
         assert!(err.contains("CommitAware"), "{err}");
-    }
-
-    #[test]
-    fn oracle_refuses_staggered_load_info() {
-        let (config, trace) = blocking_pair(PolicyKind::GLoadSharing, false);
-        let config = config.with_load_info(LoadInfoMode::Staggered { groups: 2 });
-        let err = run_oracle(&config, &trace, OracleSkew::None).unwrap_err();
-        assert!(err.contains("Staggered"), "{err}");
     }
 
     #[test]

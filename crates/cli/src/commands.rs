@@ -18,7 +18,7 @@ use vr_workload::trace::{
     app_trace_scaled, spec_trace_scaled, Trace, TraceLevel, APP_LIFETIME_SCALE, SPEC_LIFETIME_SCALE,
 };
 use vr_workload::{read_trace, write_trace};
-use vrecon::config::{LoadInfoMode, PlacementMode, SimConfig};
+use vrecon::config::{PlacementMode, SimConfig};
 use vrecon::encode_report;
 use vrecon::plugin::{build_policy, kind_of, registry, ParamBag};
 use vrecon::policy::PolicyKind;
@@ -36,7 +36,7 @@ USAGE:
   vrecon inspect <TRACE_FILE>
   vrecon run     <TRACE_FILE> --cluster <cluster1|cluster2> --policy <POLICY>
                  [--seed N] [--nodes N] [--netram] [--csv] [--log] [--gantt]
-                 [--placement optimistic|commit-aware] [--load-info global|staggered:N]
+                 [--placement optimistic|commit-aware]
                  [--fault-plan FILE] [--audit] [--max-sim-time SECS]
                  [--trace-out FILE] [--trace-format chrome|jsonl]
                  [--spec FILE] [--report-out FILE]
@@ -60,7 +60,9 @@ registry name — malleable and fractional take knobs via `name:k=v,...`
 `sweep` runs its whole matrix on the parallel experiment runner: `--jobs N`
 sets the worker count (0 or unset = all cores) and results are cached by
 content hash under `.vr-cache/` (`$VR_CACHE_DIR` overrides, `--no-cache`
-bypasses). Tables are identical for any `--jobs` value.
+bypasses). Tables are identical for any `--jobs` value. When stderr is a
+terminal, each finished scenario prints a progress line there; a result
+the cache cannot store is always reported there as a `note:` line.
 
 FAULT PLANS (--fault-plan): a text file, one directive per line —
   crash node=N at=SECS [restart_after=SECS]
@@ -69,15 +71,12 @@ FAULT PLANS (--fault-plan): a text file, one directive per line —
 `--audit` switches on the invariant auditor; violations are printed (and
 fail the command) after the report.
 
-`run` defaults reproduce the paper byte-for-byte; two knobs trade that
+`run` defaults reproduce the paper byte-for-byte; one knob trades that
 fidelity for scale realism. `--placement commit-aware` makes placement
 subtract in-transit demand and in-flight slot commitments (the default
 `optimistic` races and re-queues, which floods large clusters with
-transfer ping-pong). `--load-info staggered:N` refreshes the load vector
-in N rotating node groups, so entries can be up to N exchange periods
-stale (`staggered:1` equals `global`). `--nodes N` beyond the paper
-cluster's size repeats the node list cyclically — cluster size is a free
-parameter.
+transfer ping-pong). `--nodes N` beyond the paper cluster's size repeats
+the node list cyclically — cluster size is a free parameter.
 
 `trace` replays one workload-group scenario and exports the trace derived
 from its event log: `chrome` (default) is Chrome trace-event JSON
@@ -120,7 +119,8 @@ requests coalesce onto one run; distinct cold scenarios past
 `--max-inflight` are refused with 503 and connections past `--max-conns`
 with 429 — overload is always explicit, never an invisible queue.
 `GET /stats` reports counters, `GET /healthz` liveness; `--request-log`
-appends one JSON record per request.
+appends one JSON record per request. A spec whose `max-sim-time-s`
+exceeds 1000000 is refused with 400, like any other unrunnable spec.
 
 `spec` renders one fuzzer-generated scenario spec (`--seed`/`--iter`
 select which). `run --spec FILE` replays such a spec directly instead of
@@ -201,26 +201,6 @@ fn parse_placement(raw: &str) -> Result<PlacementMode, ArgError> {
             "unknown placement mode {other}; expected optimistic|commit-aware"
         ))),
     }
-}
-
-fn parse_load_info(raw: &str) -> Result<LoadInfoMode, ArgError> {
-    if raw == "global" {
-        return Ok(LoadInfoMode::Global);
-    }
-    if let Some(groups) = raw.strip_prefix("staggered:") {
-        let groups: u32 = groups
-            .parse()
-            .map_err(|_| ArgError(format!("bad staggered group count in {raw}")))?;
-        if groups == 0 {
-            return Err(ArgError(
-                "staggered group count must be non-zero".to_owned(),
-            ));
-        }
-        return Ok(LoadInfoMode::Staggered { groups });
-    }
-    Err(ArgError(format!(
-        "unknown load-info mode {raw}; expected global|staggered:N"
-    )))
 }
 
 fn load_trace(path: &str) -> Result<Trace, ArgError> {
@@ -491,9 +471,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     if let Some(mode) = args.opt("placement") {
         config = config.with_placement(parse_placement(mode)?);
     }
-    if let Some(mode) = args.opt("load-info") {
-        config = config.with_load_info(parse_load_info(mode)?);
-    }
     if let Some(path) = args.opt("fault-plan") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
@@ -733,15 +710,8 @@ fn sweep_group(name: &str) -> Result<(ClusterParams, TraceBuilder), ArgError> {
 /// value; a cache/timing line is appended for scripts to grep.
 pub fn sweep(args: &Args) -> Result<String, ArgError> {
     let mut groups: Vec<&str> = args.positional().iter().map(String::as_str).collect();
-    match args.opt("group") {
-        Some(_) if !groups.is_empty() => {
-            return Err(ArgError(
-                "give groups either positionally or via --group, not both".to_owned(),
-            ))
-        }
-        Some(group) => groups.push(group),
-        None if groups.is_empty() => groups.push("spec"),
-        None => {}
+    if groups.is_empty() {
+        groups.push("spec");
     }
     let seed = args.opt_parse::<u64>("seed")?.unwrap_or(7);
     let trace_seed = args.opt_parse::<u64>("trace-seed")?.unwrap_or(42);
@@ -1100,7 +1070,6 @@ const COMMANDS: &[Command] = &[
             "policy",
             "seed",
             "placement",
-            "load-info",
             "fault-plan",
             "max-sim-time",
             "trace-out",
@@ -1119,7 +1088,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "sweep",
         run: sweep,
-        options: &["group", "seed", "trace-seed", "jobs"],
+        options: &["seed", "trace-seed", "jobs"],
         flags: &["no-cache"],
     },
     Command {
@@ -1430,12 +1399,11 @@ mod tests {
 
     #[test]
     fn sweep_rejects_bad_group() {
-        assert!(sweep(&args(&["--group", "weird"])).is_err());
-        // Positional group names go through the same validation.
-        assert!(sweep(&args(&["weird"])).is_err());
-        // Mixing positional groups with --group is ambiguous.
-        let err = sweep(&args(&["spec", "--group", "app"])).unwrap_err();
-        assert!(err.0.contains("not both"), "{}", err.0);
+        let err = sweep(&args(&["weird"])).unwrap_err();
+        assert!(err.0.contains("group must be spec|app"), "{}", err.0);
+        // Groups are positional only; there is no option spelling.
+        let err = dispatch("sweep", &args(&["--group", "app"])).unwrap_err();
+        assert_eq!(err.0, "vrecon sweep does not take --group");
     }
 
     #[test]

@@ -9,6 +9,19 @@ use vr_simcore::time::SimSpan;
 use crate::plugin::{build_policy, ParamBag};
 use crate::policy::PolicyKind;
 
+/// Gauge sampling period (1 s in the paper; §4.1 shows the averages are
+/// insensitive to it).
+pub const SAMPLE_PERIOD: SimSpan = SimSpan::from_secs(1);
+
+/// How often blocked (pending) jobs are re-attempted, in addition to
+/// retries on every completion.
+pub const PENDING_RETRY_PERIOD: SimSpan = SimSpan::from_secs(1);
+
+/// Overflow fraction of user memory above which a node is treated as
+/// seriously faulting and the scheduler intervenes (the "certain amount of
+/// page faults" trigger); applied through [`SimConfig::overload_bytes`].
+pub const OVERLOAD_THRESHOLD: f64 = 0.02;
+
 /// How the cluster-level queue of blocked submissions is served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PendingDiscipline {
@@ -87,22 +100,12 @@ pub struct SimConfig {
     /// Virtual-reconfiguration tunables (only used by
     /// [`PolicyKind::VReconfiguration`]).
     pub reservation: ReservationOptions,
-    /// Gauge sampling period (1 s in the paper; §4.1 shows the averages are
-    /// insensitive to it).
-    pub sample_period: SimSpan,
-    /// How often blocked (pending) jobs are re-attempted, in addition to
-    /// retries on every completion.
-    pub pending_retry_period: SimSpan,
     /// Service order of the blocked-submission queue.
     pub pending_discipline: PendingDiscipline,
     /// Optional network-RAM extension (§2.3 / ref \[12]): when set, nodes
     /// whose overflow fits the cluster's accumulated idle memory page to
     /// remote RAM at this service time instead of local disk.
     pub network_ram: Option<NetworkRamParams>,
-    /// Overflow fraction of user memory above which a node is treated as
-    /// seriously faulting and the scheduler intervenes (the "certain amount
-    /// of page faults" trigger).
-    pub overload_threshold: f64,
     /// RNG seed; identical configs and seeds produce identical reports.
     pub seed: u64,
     /// Safety horizon: the run aborts (reporting unfinished jobs) if the
@@ -117,13 +120,6 @@ pub struct SimConfig {
     ///
     /// [`RunReport::audit_violations`]: crate::report::RunReport::audit_violations
     pub audit: bool,
-    /// How fresh each node's entry in the global load vector is. The paper
-    /// assumes a perfect 1-second global exchange; at thousands of nodes
-    /// that all-to-all broadcast is the first thing operators shed, so this
-    /// knob models bounded-age load information (§6 discussion of scalable
-    /// load sharing).
-    #[serde(default)]
-    pub load_info: LoadInfoMode,
     /// Whether placement accounts for capacity already committed to
     /// in-flight submissions and migrations.
     #[serde(default)]
@@ -159,26 +155,6 @@ pub enum PlacementMode {
     CommitAware,
 }
 
-/// Freshness model for the global load-information exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LoadInfoMode {
-    /// Every workstation's load vector entry is recaptured at every
-    /// exchange tick — the paper's idealized global exchange.
-    #[default]
-    Global,
-    /// Workstations report in rotating groups: node `i` is recaptured only
-    /// at ticks `t` with `i % groups == t % groups`, so an entry can be up
-    /// to `groups` exchange periods stale. `groups == 1` is byte-identical
-    /// to [`LoadInfoMode::Global`]. Models the bounded-age load vectors a
-    /// real cluster gets from staggered or gossip-style dissemination,
-    /// generalizing the transient `load-info loss` fault into a standing
-    /// policy.
-    Staggered {
-        /// Number of reporting groups (must be non-zero).
-        groups: u32,
-    },
-}
-
 impl SimConfig {
     /// A configuration with paper-standard knobs for the given cluster and
     /// policy.
@@ -188,16 +164,12 @@ impl SimConfig {
             policy,
             policy_params: ParamBag::new(),
             reservation: ReservationOptions::default(),
-            sample_period: SimSpan::from_secs(1),
-            pending_retry_period: SimSpan::from_secs(1),
             pending_discipline: PendingDiscipline::Fifo,
             network_ram: None,
-            overload_threshold: 0.02,
             seed: 0x5eed,
             max_sim_time: SimSpan::from_secs(200_000),
             fault_plan: None,
             audit: false,
-            load_info: LoadInfoMode::default(),
             placement: PlacementMode::default(),
         }
     }
@@ -231,13 +203,6 @@ impl SimConfig {
     /// (builder-style); validated by [`SimConfig::validate`].
     pub fn with_policy_params(mut self, params: ParamBag) -> Self {
         self.policy_params = params;
-        self
-    }
-
-    /// Returns the config with the given load-information freshness model
-    /// (see [`LoadInfoMode`]) — builder-style.
-    pub fn with_load_info(mut self, load_info: LoadInfoMode) -> Self {
-        self.load_info = load_info;
         self
     }
 
@@ -291,20 +256,8 @@ impl SimConfig {
         // Building the policy plugin validates the parameter bag (unknown
         // keys, unparsable or out-of-range values).
         build_policy(self.policy, &self.policy_params)?;
-        if self.sample_period.is_zero() {
-            return Err("sample period must be non-zero".into());
-        }
-        if self.pending_retry_period.is_zero() {
-            return Err("pending retry period must be non-zero".into());
-        }
         if self.cluster.load_exchange_period.is_zero() {
             return Err("load exchange period must be non-zero".into());
-        }
-        if !(0.0..1.0).contains(&self.overload_threshold) {
-            return Err(format!(
-                "overload threshold must be in [0, 1), got {}",
-                self.overload_threshold
-            ));
         }
         if !(0.0..=1.0).contains(&self.reservation.max_reserved_fraction) {
             return Err(format!(
@@ -317,11 +270,6 @@ impl SimConfig {
         }
         if self.max_sim_time.is_zero() {
             return Err("max simulation time must be non-zero".into());
-        }
-        if let LoadInfoMode::Staggered { groups } = self.load_info {
-            if groups == 0 {
-                return Err("staggered load info needs at least one group".into());
-            }
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;
@@ -340,7 +288,7 @@ impl SimConfig {
 
     /// Overflow bytes above which a node counts as overloaded.
     pub fn overload_bytes(&self, user: vr_cluster::units::Bytes) -> vr_cluster::units::Bytes {
-        user.mul_f64(self.overload_threshold)
+        user.mul_f64(OVERLOAD_THRESHOLD)
     }
 }
 
@@ -352,7 +300,8 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let cfg = SimConfig::new(ClusterParams::cluster1(), PolicyKind::VReconfiguration);
-        assert_eq!(cfg.sample_period, SimSpan::from_secs(1));
+        assert_eq!(SAMPLE_PERIOD, SimSpan::from_secs(1));
+        assert_eq!(PENDING_RETRY_PERIOD, SimSpan::from_secs(1));
         assert_eq!(cfg.reservation.end_condition, ReservingEnd::AllJobsComplete);
         assert!(cfg.reservation.max_reserved_fraction <= 0.5);
     }
@@ -384,12 +333,6 @@ mod tests {
     fn validate_accepts_defaults_and_rejects_nonsense() {
         let good = SimConfig::new(ClusterParams::cluster1(), PolicyKind::VReconfiguration);
         good.validate().unwrap();
-        let mut bad = good.clone();
-        bad.sample_period = SimSpan::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = good.clone();
-        bad.overload_threshold = 1.5;
-        assert!(bad.validate().is_err());
         let mut bad = good.clone();
         bad.reservation.max_reserved_fraction = -0.1;
         assert!(bad.validate().is_err());

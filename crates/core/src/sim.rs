@@ -56,7 +56,7 @@ use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_workload::trace::Trace;
 
-use crate::config::{LoadInfoMode, PlacementMode, ReservingEnd, SimConfig};
+use crate::config::{PlacementMode, ReservingEnd, SimConfig, PENDING_RETRY_PERIOD, SAMPLE_PERIOD};
 use crate::events::{EventLog, SchedulerEventKind};
 use crate::plugin::build_policy;
 #[cfg(test)]
@@ -173,7 +173,7 @@ impl Simulation {
             }
             sched.schedule_at(SimTime::ZERO, Event::Exchange);
             sched.schedule_at(SimTime::ZERO, Event::Sample);
-            sched.schedule_in(self.config.pending_retry_period, Event::PendingRetry);
+            sched.schedule_in(PENDING_RETRY_PERIOD, Event::PendingRetry);
             if let Some(injector) = &world.faults {
                 for crash in injector.crash_schedule() {
                     let node = NodeId(crash.node as u32);
@@ -286,9 +286,6 @@ pub(crate) struct ClusterWorld {
     /// entries awaiting recapture). Drained into the next index refresh.
     /// A tick advance that proves the node's load unchanged adds nothing.
     dirty: BitSet,
-    /// Exchange ticks so far, driving the staggered stale-load schedule
-    /// ([`LoadInfoMode::Staggered`]).
-    exchange_ticks: u64,
 }
 
 /// Aggregate load already on the wire toward one node.
@@ -355,7 +352,6 @@ impl ClusterWorld {
             active: BitSet::new(node_count),
             ripe: BitSet::new(node_count),
             dirty: BitSet::new(node_count),
-            exchange_ticks: 0,
         };
         world.index.refresh(world.nodes.iter());
         world
@@ -540,14 +536,11 @@ impl ClusterWorld {
 
     /// The periodic exchange's variant of [`ClusterWorld::refresh_index`]:
     /// under a load-information-loss fault each node's report may be
-    /// dropped, and under [`LoadInfoMode::Staggered`] only one node group
-    /// reports per tick — either way the held-back nodes keep their
-    /// previous (stale) entries in the index until they next report.
+    /// dropped, and a node whose report was lost keeps its previous (stale)
+    /// entry in the index until it next reports.
     fn refresh_index_lossy(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         self.advance_active(now);
         self.collect_completions(now, sched);
-        let tick = self.exchange_ticks;
-        self.exchange_ticks += 1;
         // The per-node loss draws walk every node whenever the fault is
         // armed: the draw stream is part of the deterministic contract and
         // must not depend on which nodes happen to be active.
@@ -560,17 +553,7 @@ impl ClusterWorld {
                 .collect(),
             _ => Vec::new(),
         };
-        let mode = self.config.load_info;
-        let is_stale = move |id: NodeId| {
-            lost.binary_search(&id).is_ok()
-                || match mode {
-                    LoadInfoMode::Global => false,
-                    LoadInfoMode::Staggered { groups } => {
-                        u64::from(id.0) % u64::from(groups) != tick % u64::from(groups)
-                    }
-                }
-        };
-        self.refresh_index_incremental(is_stale);
+        self.refresh_index_incremental(|id| lost.binary_search(&id).is_ok());
     }
 
     /// Clears a node's reservation flag after the manager dropped its
@@ -1752,7 +1735,7 @@ impl World for ClusterWorld {
                 let pending = self.pending.len();
                 self.gauges.sample(self.nodes.iter(), pending, now);
                 if !self.done {
-                    sched.schedule_in(self.config.sample_period, Event::Sample);
+                    sched.schedule_in(SAMPLE_PERIOD, Event::Sample);
                 }
             }
             Event::PendingRetry => {
@@ -1762,7 +1745,7 @@ impl World for ClusterWorld {
                 }
                 self.check_done(now);
                 if !self.done {
-                    sched.schedule_in(self.config.pending_retry_period, Event::PendingRetry);
+                    sched.schedule_in(PENDING_RETRY_PERIOD, Event::PendingRetry);
                 }
             }
             Event::TransitArrive { job } => {
@@ -1851,40 +1834,6 @@ mod tests {
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.reservations, b.reservations);
         assert_eq!(a.finished_at, b.finished_at);
-    }
-
-    #[test]
-    fn staggered_one_group_is_byte_identical_to_global() {
-        use crate::config::LoadInfoMode;
-        let trace = synth::blocking_scenario(8, vr_cluster::units::Bytes::from_mb(128));
-        for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
-            let global = run(policy, &trace);
-            let staggered = Simulation::new(
-                SimConfig::new(small_cluster(), policy)
-                    .with_seed(7)
-                    .with_load_info(LoadInfoMode::Staggered { groups: 1 }),
-            )
-            .run(&trace);
-            // With one group every node reports at every tick, so the mode
-            // must be indistinguishable from the global exchange.
-            assert_eq!(global, staggered, "{policy}");
-        }
-    }
-
-    #[test]
-    fn staggered_load_info_completes_and_is_deterministic() {
-        use crate::config::LoadInfoMode;
-        let trace = synth::blocking_scenario(8, vr_cluster::units::Bytes::from_mb(128));
-        let config = || {
-            SimConfig::new(small_cluster(), PolicyKind::VReconfiguration)
-                .with_seed(7)
-                .with_load_info(LoadInfoMode::Staggered { groups: 4 })
-        };
-        let a = Simulation::new(config()).run(&trace);
-        let b = Simulation::new(config()).run(&trace);
-        assert_eq!(a, b);
-        assert!(a.all_completed(), "stale load vectors lost jobs");
-        a.check_breakdown_identity(0.01).unwrap();
     }
 
     #[test]

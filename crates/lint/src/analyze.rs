@@ -1677,7 +1677,7 @@ mod tests {
         // `paint` mints a guard *inside* the call's argument list.
         let report = analyze(&[
             (
-                "crates/runner/src/telemetry.rs",
+                "crates/runner/src/render.rs",
                 "// vr-analyze::blocking(reason = \"drains a channel\")\n\
                  pub fn render(rx: R, out: W) { for e in rx { } }\n",
             ),

@@ -13,7 +13,7 @@
 //!   slowdowns (the §2.2 fairness constraint).
 //! * [`table`] — fixed-width / CSV rendering for the figure binaries.
 //! * [`throughput`] — [`ThroughputSummary`]: simulator events/second
-//!   accounting for the experiment runner's sweep telemetry.
+//!   accounting for the experiment runner's `BENCH_sweep.json` record.
 //!
 //! ```
 //! use vr_metrics::comparison::MetricComparison;

@@ -138,8 +138,9 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Returns the failing path and I/O error; callers surface this once
-    /// via telemetry rather than per-row.
+    /// Returns the failing path and I/O error; [`crate::Runner::run`]
+    /// prints it as a `note:` line on stderr and carries on, since a
+    /// result that cannot be cached is still a valid result.
     pub fn store(&self, hash: &str, report: &RunReport) -> Result<(), (PathBuf, std::io::Error)> {
         self.store_with_pause(hash, report, &|| {})
     }

@@ -7,15 +7,14 @@
 //! * [`scenario`] — [`Scenario`] descriptors (cluster + trace + policy +
 //!   seed + fault plan) with a stable 128-bit content hash, and ordered
 //!   [`SweepPlan`]s.
-//! * [`pool`] — a dependency-free work-stealing thread pool on
-//!   [`std::thread::scope`] with per-item panic isolation and
-//!   input-ordered results.
+//! * [`pool`] — a dependency-free thread pool on [`std::thread::scope`]
+//!   whose workers take items from one atomic cursor, with per-item panic
+//!   isolation and input-ordered results.
 //! * [`cache`] — a content-addressed on-disk [`ResultCache`]
 //!   (`.vr-cache/<hash>.json`) with hit/miss accounting and atomic
 //!   writes.
-//! * [`telemetry`] — live [`SweepEvent`] streaming over `mpsc` to a
-//!   progress renderer.
-//! * [`runner`] — the [`Runner`] tying it together, plus the
+//! * [`runner`] — the [`Runner`] tying it together on the pool's workers
+//!   alone (each prints its own progress line), plus the
 //!   `BENCH_sweep.json` writer.
 //!
 //! The contract throughout: **results are ordered by scenario index, not
@@ -49,7 +48,6 @@ pub mod cache;
 pub mod pool;
 pub mod runner;
 pub mod scenario;
-pub mod telemetry;
 
 pub use cache::{default_cache_dir, CacheStats, ResultCache};
 pub use pool::{effective_workers, panic_message, run_indexed, PoolOutcome};
@@ -57,4 +55,3 @@ pub use runner::{
     bench_json, write_bench_json, Runner, ScenarioResult, SweepOptions, SweepOutcome,
 };
 pub use scenario::{Scenario, SweepPlan, SCENARIO_HASH_VERSION};
-pub use telemetry::SweepEvent;

@@ -1,26 +1,26 @@
-//! Work-stealing thread pool for embarrassingly parallel sweeps.
+//! A small thread pool for embarrassingly parallel sweeps.
 //!
 //! The offline build environment ships no rayon or crossbeam, so this is a
-//! small, dependency-free pool built on [`std::thread::scope`]:
+//! dependency-free pool built on [`std::thread::scope`]:
 //!
-//! * work items are *indices* into the caller's slice, pre-distributed
-//!   round-robin across per-worker deques;
-//! * a worker pops from the **front** of its own deque and, when empty,
-//!   steals from the **back** of a sibling's — the classic arrangement
-//!   that keeps contention low and preserves rough locality;
+//! * work items are *indices* into the caller's slice, handed out in
+//!   input order from one shared atomic cursor — sweep items are coarse
+//!   (a whole simulation each), so a worker that finishes early simply
+//!   takes the next index, and there is nothing to steal or rebalance;
 //! * each item runs under [`std::panic::catch_unwind`], so one panicking
 //!   scenario fails only that scenario: remaining items still execute,
 //!   the pool still joins, and the panic message is reported per-index;
-//! * results land in a slot per index, so output order is the **input
-//!   order**, never the completion order — the cornerstone of
-//!   determinism under parallelism.
+//! * each worker returns its `(index, result)` pairs through its join
+//!   handle and the caller drops them into a slot per index, so output
+//!   order is the **input order**, never the completion order — the
+//!   cornerstone of determinism under parallelism.
 //!
-//! No work is spawned after start, so idle workers simply exit once every
-//! deque is empty; there is no parking or wake-up protocol to get wrong.
+//! No work is spawned after start, so idle workers simply exit once the
+//! cursor passes the last index; there is no lock, parking or wake-up
+//! protocol to get wrong.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The result slots and failures of one pool execution.
 #[derive(Debug)]
@@ -31,22 +31,6 @@ pub struct PoolOutcome<R> {
     /// `(index, panic message)` for every item that panicked, in index
     /// order.
     pub panics: Vec<(usize, String)>,
-}
-
-impl<R> PoolOutcome<R> {
-    /// Unwraps all slots, panicking with the first recorded failure if any
-    /// item failed. Convenience for callers that treat any panic as fatal.
-    pub fn into_results(self) -> Vec<R> {
-        if let Some((index, message)) = self.panics.first() {
-            // vr-lint::allow(panic-in-lib, reason = "into_results is the documented panic-on-failure convenience; fallible callers read panics directly")
-            panic!("pool item {index} panicked: {message}");
-        }
-        self.results
-            .into_iter()
-            // vr-lint::allow(panic-in-lib, reason = "guarded by the panics check above: every slot was filled by a worker")
-            .map(|slot| slot.expect("no panic recorded, so every slot is filled"))
-            .collect()
-    }
 }
 
 /// Clamps a requested worker count to something sensible for `len` items.
@@ -73,41 +57,40 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = effective_workers(jobs, items.len());
-    // Per-worker deques, pre-loaded round-robin.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..items.len()).step_by(workers).collect()))
-        .collect();
-    // One slot per item; each index is written exactly once, by whichever
-    // worker claimed it, so a mutex per slot never contends.
-    let slots: Vec<Mutex<Option<Result<R, String>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let work = &work;
-            scope.spawn(move || {
-                while let Some(index) = claim(deques, me) {
-                    let result = catch_unwind(AssertUnwindSafe(|| work(index, &items[index])))
-                        .map_err(|payload| panic_message(payload.as_ref()));
-                    // vr-lint::allow(panic-in-lib, reason = "worker panics are caught by catch_unwind before the lock is taken, so poisoning is unreachable")
-                    *slots[index].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
-        }
+    let cursor = AtomicUsize::new(0);
+    let finished: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            return done;
+                        };
+                        let result = catch_unwind(AssertUnwindSafe(|| work(index, item)))
+                            .map_err(|payload| panic_message(payload.as_ref()));
+                        done.push((index, result));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // vr-lint::allow(panic-in-lib, reason = "every item runs under catch_unwind, so a worker thread itself never panics")
+            .map(|handle| handle.join().expect("pool worker panicked outside an item"))
+            .collect()
     });
 
+    let mut slots: Vec<Option<Result<R, String>>> = items.iter().map(|_| None).collect();
+    for (index, result) in finished.into_iter().flatten() {
+        slots[index] = Some(result);
+    }
     let mut results = Vec::with_capacity(items.len());
     let mut panics = Vec::new();
     for (index, slot) in slots.into_iter().enumerate() {
-        match slot
-            .into_inner()
-            // vr-lint::allow(panic-in-lib, reason = "worker panics are caught by catch_unwind before the lock is taken, so poisoning is unreachable")
-            .expect("result slot poisoned")
-            // vr-lint::allow(panic-in-lib, reason = "claim() hands out each index exactly once, so every slot is filled")
-            .expect("every index was claimed exactly once")
-        {
+        // vr-lint::allow(panic-in-lib, reason = "the cursor hands out each index exactly once, so every slot is filled")
+        match slot.expect("every index was claimed exactly once") {
             Ok(r) => results.push(Some(r)),
             Err(message) => {
                 results.push(None);
@@ -116,23 +99,6 @@ where
         }
     }
     PoolOutcome { results, panics }
-}
-
-/// Pops the next index: front of our own deque, else steal from the back
-/// of the first non-empty sibling. `None` once every deque is empty.
-fn claim(deques: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    // vr-lint::allow(panic-in-lib, reason = "worker panics are caught by catch_unwind before the lock is taken, so poisoning is unreachable")
-    if let Some(index) = deques[me].lock().expect("deque poisoned").pop_front() {
-        return Some(index);
-    }
-    for offset in 1..deques.len() {
-        let victim = (me + offset) % deques.len();
-        // vr-lint::allow(panic-in-lib, reason = "worker panics are caught by catch_unwind before the lock is taken, so poisoning is unreachable")
-        if let Some(index) = deques[victim].lock().expect("deque poisoned").pop_back() {
-            return Some(index);
-        }
-    }
-    None
 }
 
 /// Extracts a readable message from a panic payload. Public so other
@@ -151,54 +117,74 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn all_ok<R>(out: PoolOutcome<R>) -> Vec<R> {
+        assert!(out.panics.is_empty(), "{:?}", out.panics);
+        out.results.into_iter().map(Option::unwrap).collect()
+    }
 
     #[test]
     fn results_are_in_input_order_for_any_worker_count() {
         let items: Vec<usize> = (0..37).collect();
         for jobs in [1, 2, 3, 8, 64] {
+            let started = AtomicUsize::new(0);
             let out = run_indexed(&items, jobs, |i, &x| {
                 assert_eq!(i, x);
+                // One worker also *runs* the items in input order.
+                let nth = started.fetch_add(1, Ordering::Relaxed);
+                assert!(jobs > 1 || nth == i, "item {i} ran {nth}th");
                 x * 2
             });
-            assert!(out.panics.is_empty());
-            let results = out.into_results();
-            assert_eq!(results, (0..37).map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!(all_ok(out), (0..37).map(|x| x * 2).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_jobs_means_available_parallelism() {
         let out = run_indexed(&[1, 2, 3], 0, |_, &x| x);
-        assert_eq!(out.into_results(), vec![1, 2, 3]);
+        assert_eq!(all_ok(out), vec![1, 2, 3]);
         assert!(effective_workers(0, 100) >= 1);
         assert_eq!(effective_workers(16, 3), 3);
         assert_eq!(effective_workers(2, 0), 1);
     }
 
     #[test]
-    fn panicking_item_fails_alone_without_deadlock() {
+    fn every_item_runs_exactly_once_on_eight_workers() {
+        let runs: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        let items: Vec<usize> = (0..1000).collect();
+        let out = run_indexed(&items, 8, |i, &x| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            x + 1
+        });
+        assert_eq!(all_ok(out), (1..=1000).collect::<Vec<_>>());
+        for (i, count) in runs.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "item {i}");
+        }
+    }
+
+    #[test]
+    fn panicking_items_fail_alone_without_deadlock() {
         let ran = AtomicUsize::new(0);
         let items: Vec<usize> = (0..20).collect();
         let out = run_indexed(&items, 4, |_, &x| {
             ran.fetch_add(1, Ordering::Relaxed);
-            assert!(x != 7, "boom at {x}");
+            assert!(x != 7 && x != 13, "boom at {x}");
             x
         });
-        // All 20 items ran despite the panic at index 7…
+        // All 20 items ran despite the panics at indices 7 and 13…
         assert_eq!(ran.load(Ordering::Relaxed), 20);
-        // …and only index 7 failed, with its message preserved.
-        assert_eq!(out.panics.len(), 1);
-        assert_eq!(out.panics[0].0, 7);
+        // …and only those failed, in index order, messages preserved.
+        let failed: Vec<usize> = out.panics.iter().map(|(i, _)| *i).collect();
+        assert_eq!(failed, vec![7, 13]);
         assert!(out.panics[0].1.contains("boom at 7"), "{:?}", out.panics);
-        assert!(out.results[7].is_none());
-        assert_eq!(out.results.iter().flatten().count(), 19);
+        assert!(out.results[7].is_none() && out.results[13].is_none());
+        assert_eq!(out.results.iter().flatten().count(), 18);
     }
 
     #[test]
-    fn workers_steal_imbalanced_queues() {
-        // One slow item pinned to worker 0's deque; the other worker must
-        // steal the rest or this would take ~10 × 20 ms on worker 1 alone.
+    fn a_slow_item_does_not_hold_up_the_rest() {
+        // One slow item at the head; the other worker must take the rest
+        // meanwhile, and results still come back in input order.
         let items: Vec<u64> = (0..10).collect();
         let out = run_indexed(&items, 2, |_, &x| {
             if x == 0 {
@@ -206,13 +192,6 @@ mod tests {
             }
             x
         });
-        assert_eq!(out.into_results(), items);
-    }
-
-    #[test]
-    #[should_panic(expected = "pool item 0 panicked")]
-    fn into_results_surfaces_failures() {
-        let out = run_indexed(&[0], 1, |_, _| -> usize { panic!("nope") });
-        let _ = out.into_results();
+        assert_eq!(all_ok(out), items);
     }
 }

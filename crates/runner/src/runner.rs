@@ -1,14 +1,17 @@
-//! The sweep orchestrator: cache → pool → telemetry → BENCH report.
+//! The sweep orchestrator: cache → pool → BENCH report.
 //!
-//! [`Runner::run`] executes a [`SweepPlan`] on the work-stealing pool,
-//! consulting the content-addressed [`ResultCache`] per scenario and
-//! streaming [`SweepEvent`]s to a renderer thread. Results come back in
+//! [`Runner::run`] executes a [`SweepPlan`] on the pool's workers and no
+//! other thread, consulting the content-addressed [`ResultCache`] per
+//! scenario. With progress on, each worker prints its own
+//! `[done/total] label (…)` line to stderr as it finishes a scenario;
+//! a failed cache write is always reported there as a `note:` line.
+//! Stdout stays reserved for the figure tables. Results come back in
 //! **plan order** whatever the completion order, so any figure table
 //! printed from a [`SweepOutcome`] is bit-identical across `--jobs`
 //! settings — determinism under parallelism is the contract, not an
 //! accident.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use vr_simcore::jsonio::Json;
@@ -17,7 +20,6 @@ use vrecon::RunReport;
 use crate::cache::{CacheStats, ResultCache};
 use crate::pool::{effective_workers, run_indexed};
 use crate::scenario::{Scenario, SweepPlan};
-use crate::telemetry::{drain_progress, render_progress, SweepEvent};
 
 /// Knobs for one sweep execution.
 #[derive(Debug)]
@@ -26,7 +28,7 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// Result cache (use [`ResultCache::disabled`] for `--no-cache`).
     pub cache: ResultCache,
-    /// Render live progress lines to stderr.
+    /// Print a progress line to stderr as each scenario finishes.
     pub progress: bool,
 }
 
@@ -86,9 +88,6 @@ pub struct SweepOutcome {
     pub jobs: usize,
     /// Cache hit/miss counters for this sweep.
     pub cache: CacheStats,
-    /// One-shot warnings surfaced via telemetry (cache write failures,
-    /// export errors), in arrival order.
-    pub notes: Vec<String>,
 }
 
 impl SweepOutcome {
@@ -142,28 +141,17 @@ impl Runner {
     pub fn run(&self, plan: &SweepPlan) -> SweepOutcome {
         let jobs = effective_workers(self.options.jobs, plan.len());
         let cache = &self.options.cache;
-        let (tx, rx) = mpsc::channel::<SweepEvent>();
         let total = plan.len();
-        let progress = self.options.progress;
-        let renderer = std::thread::spawn(move || {
-            if progress {
-                // Hand the renderer the *unlocked* handle: it locks per
-                // `writeln!`. Passing `stderr().lock()` here pinned the
-                // global stderr lock for the whole sweep, so any worker
-                // `eprintln!` (panic reports included) would deadlock
-                // against a renderer that never yields the lock.
-                render_progress(rx, total, std::io::stderr())
-            } else {
-                drain_progress(rx)
+        let done = AtomicUsize::new(0);
+        let progress = |label: &str, outcome: Result<&ScenarioResult, (usize, &str)>| {
+            if self.options.progress {
+                let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+                eprintln!("{}", progress_line(done, total, label, outcome));
             }
-        });
+        };
 
         let started = Instant::now();
-        let pooled = run_indexed(&plan.scenarios, jobs, |index, scenario: &Scenario| {
-            let _ = tx.send(SweepEvent::Started {
-                index,
-                label: scenario.label.clone(),
-            });
+        let pooled = run_indexed(&plan.scenarios, jobs, |_, scenario: &Scenario| {
             let t0 = Instant::now();
             let hash = scenario.content_hash();
             let (report, cache_hit) = match cache.lookup(&hash) {
@@ -171,10 +159,10 @@ impl Runner {
                 None => {
                     let report = scenario.run();
                     if let Err((path, error)) = cache.store(&hash, &report) {
-                        let _ = tx.send(SweepEvent::Note(format!(
-                            "result cache write failed at {}: {error}",
+                        eprintln!(
+                            "note: result cache write failed at {}: {error}",
                             path.display()
-                        )));
+                        );
                     }
                     (report, false)
                 }
@@ -186,27 +174,13 @@ impl Runner {
                 wall: t0.elapsed(),
                 cache_hit,
             };
-            let _ = tx.send(SweepEvent::Finished {
-                index,
-                label: result.label.clone(),
-                wall: result.wall,
-                cache_hit,
-                events_per_sec: result.events_per_sec(),
-            });
+            progress(&result.label, Ok(&result));
             result
         });
         let wall = started.elapsed();
-
         for (index, message) in &pooled.panics {
-            let _ = tx.send(SweepEvent::Failed {
-                index: *index,
-                label: plan.scenarios[*index].label.clone(),
-                message: message.clone(),
-            });
+            progress(&plan.scenarios[*index].label, Err((*index, message)));
         }
-        drop(tx);
-        // vr-lint::allow(panic-in-lib, reason = "the telemetry renderer only panics if stderr writes fail; propagating the panic is the only sane handling")
-        let notes = renderer.join().expect("telemetry renderer panicked");
 
         let busy = pooled
             .results
@@ -221,7 +195,30 @@ impl Runner {
             busy,
             jobs,
             cache: cache.stats(),
-            notes,
+        }
+    }
+}
+
+/// Formats one progress line: `[done/total] label (detail)` for a finished
+/// scenario (`cached`, or its wall time and events per second) and
+/// `[done/total] label FAILED (scenario i): message` for one whose worker
+/// panicked. Plain lines, no cursor tricks, so they behave in CI logs and
+/// when piped.
+fn progress_line(
+    done: usize,
+    total: usize,
+    label: &str,
+    outcome: Result<&ScenarioResult, (usize, &str)>,
+) -> String {
+    match outcome {
+        Ok(result) if result.cache_hit => format!("[{done}/{total}] {label} (cached)"),
+        Ok(result) => format!(
+            "[{done}/{total}] {label} ({:.2}s, {:.0} ev/s)",
+            result.wall.as_secs_f64(),
+            result.events_per_sec()
+        ),
+        Err((index, message)) => {
+            format!("[{done}/{total}] {label} FAILED (scenario {index}): {message}")
         }
     }
 }
@@ -372,6 +369,24 @@ mod tests {
             }
         );
         assert_eq!(outcome.jobs, 4);
+    }
+
+    #[test]
+    fn progress_lines_count_and_describe_each_scenario() {
+        let outcome = Runner::uncached(1).run(&plan(1));
+        let mut result = outcome.results.into_iter().next().flatten().unwrap();
+        result.report.run_stats.events_processed = 1500;
+        result.wall = Duration::from_millis(1500);
+        assert_eq!(
+            progress_line(1, 3, "a", Ok(&result)),
+            "[1/3] a (1.50s, 1000 ev/s)"
+        );
+        result.cache_hit = true;
+        assert_eq!(progress_line(2, 3, "b", Ok(&result)), "[2/3] b (cached)");
+        assert_eq!(
+            progress_line(3, 3, "c", Err((2, "boom"))),
+            "[3/3] c FAILED (scenario 2): boom"
+        );
     }
 
     #[test]

@@ -271,17 +271,30 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>) {
     }
 }
 
+/// One of the server's connection slots, held for the life of a
+/// connection thread. Dropping it gives the slot back, so every exit from
+/// [`handle_connection`] releases it — a panic unwinding out of a request
+/// hook included.
+struct ConnSlot<'a>(&'a AtomicU64);
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
     let watch = Stopwatch::start();
     // Connection cap, checked before reading anything.
     let conns = state.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
+    let slot = ConnSlot(&state.active_conns);
     if conns > state.max_conns as u64 {
         Counters::bump(&state.counters.rejected_conns);
         let response = Response::text(429, "Too Many Requests", "server connection cap reached\n")
             .with_header("Retry-After", "1");
         let _ = write_response(&mut stream, &response);
         finish_request(state, &watch, None, Outcome::None, &response);
-        state.active_conns.fetch_sub(1, Ordering::SeqCst);
+        drop(slot);
         close_unread(&mut stream);
         return;
     }
@@ -311,7 +324,6 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
             }
         }
     }
-    state.active_conns.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Most request bytes [`close_unread`] discards before giving up.

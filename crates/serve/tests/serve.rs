@@ -1,7 +1,8 @@
 //! End-to-end tests of `vrecon serve` over real sockets: byte-identity
 //! across tiers, worker counts, and restarts; cold misses and hot
 //! repeats; protocol rejection paths; request coalescing; bounded
-//! admission; and corrupt-cache recovery.
+//! admission; connection slots that survive a panicking thread; and
+//! corrupt-cache recovery.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -412,5 +413,48 @@ fn connection_cap_rejects_with_429() {
     };
     // At least the probe above was rejected; polling may add more.
     assert!(stat(&doc, "rejected_conns") >= 1, "{doc:?}");
+    server.shutdown();
+}
+
+/// A request hook that panics on `/healthz` records: a stand-in for any
+/// panic on a connection thread after its response is on the wire.
+struct PanicOnHealthz;
+
+impl vr_serve::RequestHook for PanicOnHealthz {
+    fn on_request(&self, record: &vr_serve::RequestRecord) {
+        assert_ne!(record.path, "/healthz", "request hook panics on /healthz");
+    }
+}
+
+#[test]
+fn connection_slots_come_back_when_a_connection_thread_panics() {
+    let server = start(ServeConfig {
+        max_conns: 2,
+        hook: Arc::new(PanicOnHealthz),
+        ..test_config("panicslot")
+    })
+    .unwrap();
+    let addr = server.addr();
+    // Each answer is written before its hook panics, so both succeed and
+    // both handlers then unwind while holding a connection slot.
+    for _ in 0..2 {
+        let resp = request(addr, "GET", "/healthz", "", TIMEOUT).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    // The unwinding handlers release their slots asynchronously, so poll;
+    // slots that leaked would keep /stats at 429 for good.
+    let watch = vr_serve::clock::Stopwatch::start();
+    loop {
+        let resp = request(addr, "GET", "/stats", "", TIMEOUT).unwrap();
+        if resp.status == 200 {
+            break;
+        }
+        assert!(
+            !watch.expired(Duration::from_secs(5)),
+            "connection slots leaked: /stats answered {}",
+            resp.status
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown();
 }

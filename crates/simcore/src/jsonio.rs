@@ -3,7 +3,7 @@
 //! The build environment has no registry access, so the workspace's `serde`
 //! is a no-op stand-in (see `compat/README.md`) and on-disk formats are
 //! hand-rolled. This module provides the document model behind the result
-//! cache and the sweep telemetry file: a [`Json`] tree, a writer, and a
+//! cache and the sweep benchmark record: a [`Json`] tree, a writer, and a
 //! recursive-descent parser.
 //!
 //! Two properties are load-bearing for the content-addressed result cache:

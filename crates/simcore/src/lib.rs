@@ -18,7 +18,7 @@
 //!   distributions.
 //! * [`series`] — sampled time series for idle-memory / job-balance gauges.
 //! * [`jsonio`] — dependency-free JSON document model with lossless number
-//!   round-trips, backing the result cache and sweep telemetry files.
+//!   round-trips, backing the result cache and the sweep benchmark record.
 //! * [`hash`] — stable FNV-1a 128-bit content hashing for cache keys.
 //! * [`bitset`] — dense [`BitSet`] id sets with ascending iteration, the
 //!   simulation driver's per-node sweep sets.
