@@ -1,8 +1,8 @@
 //! `engine_bench` — the engine rows of the bench gate, `BENCH_engine.json`.
 //!
 //! Seven rows on cluster 1 (scheduler seed 7, trace seed 42, the CLI's
-//! defaults): the five `vrecon trace spec --level N` scenarios under
-//! V-Reconfiguration, then the malleable and fractional families on the
+//! defaults): the five SPEC traces (`vrecon gen --group spec --level N`)
+//! under V-Reconfiguration, then the malleable and fractional families on the
 //! level-3 (Normal) trace. Each row is the best of three untraced runs.
 //! `--out FILE` / `--check FILE` are described in [`vr_bench::gate`]; CI
 //! runs `engine_bench --check BENCH_engine.json`.

@@ -1,20 +1,16 @@
 //! # vr-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§3–§4).
-//! Each `src/bin/*` binary prints one artifact; the `experiments` binary
-//! runs everything and emits the markdown that backs `EXPERIMENTS.md`.
+//! Regenerates every table and figure of the paper's evaluation (§3–§4)
+//! and checks the §5 model. `table1`, `table2` and `ablation` each print
+//! one artifact; `experiments` prints the whole G-Loadsharing vs
+//! V-Reconfiguration matrix from one 20-scenario sweep.
 //!
 //! | Binary        | Paper artifact |
 //! |---------------|----------------|
 //! | `table1`      | Table 1 — SPEC 2000 program characteristics |
 //! | `table2`      | Table 2 — application program characteristics |
-//! | `fig1`        | Figure 1 — group 1 total execution & queuing times |
-//! | `fig2`        | Figure 2 — group 1 slowdowns & idle memory volumes |
-//! | `fig3`        | Figure 3 — group 2 total execution & queuing times |
-//! | `fig4`        | Figure 4 — group 2 slowdowns & job balance skews |
-//! | `model_check` | §5 — analytical model verified against measurements |
+//! | `experiments` | Figures 1–4 (all eight panels), the §4.1/§4.2 sampling-interval tables, a paper-vs-measured summary, the V-R runs' reconfiguration activity, and §5 — the analytical model checked on every pair; as markdown |
 //! | `ablation`    | §2.2/§2.3 — negative conditions & design ablations |
-//! | `experiments` | everything above, as markdown |
 //!
 //! Beyond the paper's evaluation, two binaries share one bench gate
 //! ([`gate`]): `engine_bench` replays the five trace levels under
@@ -48,7 +44,6 @@ use vr_workload::trace::{app_trace, spec_trace, Trace, TraceLevel};
 use vrecon::config::SimConfig;
 use vrecon::policy::PolicyKind;
 use vrecon::report::RunReport;
-use vrecon::sim::Simulation;
 
 /// Seed used to regenerate the workload traces (fixed so every binary sees
 /// the same ten traces).
@@ -127,38 +122,25 @@ impl PolicyPair {
     }
 }
 
-/// Runs one trace under a single policy with the harness defaults.
-pub fn run_policy(group: Group, trace: &Trace, policy: PolicyKind) -> RunReport {
-    let config = SimConfig::new(group.cluster(), policy).with_seed(SIM_SEED);
-    Simulation::new(config).run(trace)
-}
-
-/// The G-Loadsharing / V-Reconfiguration sweep plan for one arrival level:
-/// two scenarios sharing the regenerated trace.
-pub fn pair_plan(group: Group, level: TraceLevel) -> SweepPlan {
-    let trace = Arc::new(group.trace(level));
-    [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration]
-        .into_iter()
-        .map(|policy| {
-            Scenario::new(
+/// The full sweep plan of one workload group: five arrival levels × two
+/// policies, level-major, G-Loadsharing before V-Reconfiguration, each
+/// pair sharing its regenerated trace.
+pub fn group_plan(group: Group) -> SweepPlan {
+    let mut plan = SweepPlan::new();
+    for level in TraceLevel::ALL {
+        let trace = Arc::new(group.trace(level));
+        for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
+            plan.push(Scenario::new(
                 SimConfig::new(group.cluster(), policy).with_seed(SIM_SEED),
                 Arc::clone(&trace),
-            )
-        })
-        .collect()
+            ));
+        }
+    }
+    plan
 }
 
-/// The full sweep plan of one workload group: five arrival levels × two
-/// policies, level-major, G-Loadsharing before V-Reconfiguration.
-pub fn group_plan(group: Group) -> SweepPlan {
-    TraceLevel::ALL
-        .into_iter()
-        .flat_map(|level| pair_plan(group, level).scenarios)
-        .collect()
-}
-
-/// Reassembles the results of a plan built by [`pair_plan`]/[`group_plan`]
-/// (or any concatenation of them) into policy pairs.
+/// Reassembles the results of a plan built by [`group_plan`] (or any
+/// concatenation of such plans) into policy pairs.
 ///
 /// # Panics
 ///
@@ -186,30 +168,6 @@ pub fn pairs_from_results(results: Vec<Option<ScenarioResult>>) -> Vec<PolicyPai
         });
     }
     pairs
-}
-
-/// Runs one trace under both policies on `runner`.
-pub fn run_pair_on(runner: &Runner, group: Group, level: TraceLevel) -> PolicyPair {
-    let outcome = runner.run(&pair_plan(group, level));
-    pairs_from_results(outcome.results)
-        .pop()
-        // vr-lint::allow(panic-in-lib, reason = "pair_plan always yields exactly one pair; a miss is a harness bug worth aborting on")
-        .expect("pair plan yields one pair")
-}
-
-/// Runs all five arrival levels of a group on `runner`.
-pub fn run_group_on(runner: &Runner, group: Group) -> Vec<PolicyPair> {
-    pairs_from_results(runner.run(&group_plan(group)).results)
-}
-
-/// Runs one trace under both policies (parallel, uncached).
-pub fn run_pair(group: Group, level: TraceLevel) -> PolicyPair {
-    run_pair_on(&Runner::uncached(0), group, level)
-}
-
-/// Runs all five arrival levels of a group (parallel, uncached).
-pub fn run_group(group: Group) -> Vec<PolicyPair> {
-    run_group_on(&Runner::uncached(0), group)
 }
 
 /// Common options every bench binary accepts on its command line:

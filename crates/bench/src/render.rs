@@ -1,4 +1,4 @@
-//! Table rendering shared by the figure binaries.
+//! Figure-panel rendering for `experiments`.
 
 use vr_metrics::comparison::MetricComparison;
 use vr_metrics::table::{fmt_f, TextTable};
@@ -43,13 +43,17 @@ pub fn figure_panel(
 mod tests {
     use super::*;
     use crate::Group;
+    use vrecon::config::SimConfig;
     use vrecon::policy::PolicyKind;
+    use vrecon::sim::Simulation;
 
     #[test]
     fn panel_renders_five_rows() {
         // Build a cheap fake: reuse one tiny real run for all five rows.
         let trace = vr_workload::synth::light_load(3, &mut vr_simcore::rng::SimRng::seed_from(1));
-        let report = crate::run_policy(Group::App, &trace, PolicyKind::GLoadSharing);
+        let config = SimConfig::new(Group::App.cluster(), PolicyKind::GLoadSharing)
+            .with_seed(crate::SIM_SEED);
+        let report = Simulation::new(config).run(&trace);
         let pairs: Vec<PolicyPair> = (0..5)
             .map(|i| PolicyPair {
                 trace_name: format!("T{i}"),

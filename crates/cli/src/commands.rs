@@ -1,17 +1,15 @@
 //! The CLI subcommands.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, IsTerminal, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::sync::Arc;
 
 use vr_check::fuzz::generate;
 use vr_check::{run_fuzz, CheckScenario, FuzzOptions, OracleSkew};
 use vr_cluster::params::ClusterParams;
 use vr_faults::FaultPlan;
-use vr_lint::{analyze_workspace, workspace_root, Format};
 use vr_metrics::comparison::MetricComparison;
 use vr_metrics::table::{fmt_f, TextTable};
-use vr_runner::{ResultCache, Runner, Scenario, SweepOptions, SweepPlan};
 use vr_serve::{JsonlRequestLog, ServeConfig};
 use vr_simcore::rng::SimRng;
 use vr_workload::trace::{
@@ -39,13 +37,8 @@ USAGE:
                  [--placement optimistic|commit-aware]
                  [--fault-plan FILE] [--audit] [--max-sim-time SECS]
                  [--trace-out FILE] [--trace-format chrome|jsonl]
-                 [--spec FILE] [--report-out FILE]
+                 [--profile-out FILE] [--spec FILE] [--report-out FILE]
   vrecon compare <TRACE_FILE> --cluster <cluster1|cluster2> [--seed N] [--nodes N]
-  vrecon sweep   [spec] [app] [--seed N] [--trace-seed N] [--jobs N] [--no-cache]
-  vrecon trace   <spec|app> [--level <1..5>] [--policy <POLICY>] [--seed N]
-                 [--trace-seed N] [--nodes N] [--max-sim-time SECS]
-                 [--format chrome|jsonl] [--out FILE] [--profile-out FILE]
-  vrecon analyze [--root DIR] [--format text|json|sarif] [--sarif-out FILE]
   vrecon fuzz    [--iters N] [--seed N] [--jobs N] [--failures-dir DIR]
                  [--broken-oracle]
   vrecon serve   [--addr HOST:PORT] [--jobs N] [--cache-dir DIR] [--no-cache]
@@ -56,13 +49,6 @@ USAGE:
 POLICIES: none | random | cpu | weighted | gls | suspend | vrecon, or any
 registry name — malleable and fractional take knobs via `name:k=v,...`
 (e.g. `--policy malleable:max_step=2`, `--policy fractional:oversub=1.5`)
-
-`sweep` runs its whole matrix on the parallel experiment runner: `--jobs N`
-sets the worker count (0 or unset = all cores) and results are cached by
-content hash under `.vr-cache/` (`$VR_CACHE_DIR` overrides, `--no-cache`
-bypasses). Tables are identical for any `--jobs` value. When stderr is a
-terminal, each finished scenario prints a progress line there; a result
-the cache cannot store is always reported there as a `note:` line.
 
 FAULT PLANS (--fault-plan): a text file, one directive per line —
   crash node=N at=SECS [restart_after=SECS]
@@ -78,27 +64,16 @@ subtract in-transit demand and in-flight slot commitments (the default
 transfer ping-pong). `--nodes N` beyond the paper cluster's size repeats
 the node list cyclically — cluster size is a free parameter.
 
-`trace` replays one workload-group scenario and exports the trace derived
-from its event log: `chrome` (default) is Chrome trace-event JSON
+`run --trace-out FILE` exports the trace derived from the run's event
+log: `chrome` (the default `--trace-format`) is Chrome trace-event JSON
 loadable in chrome://tracing or Perfetto, `jsonl` is compact JSON-lines.
-`--profile-out` additionally writes profiling counters (events/sec,
-engine events, per-kind counts). `run --trace-out` does the same for an
-on-disk trace file. Trace bytes are deterministic: same plan + seed ⇒
-byte-identical files.
+`--profile-out FILE` writes profiling counters (events/sec over the
+simulation's wall time, engine events, per-kind counts). Trace bytes are
+deterministic: same trace + seed ⇒ byte-identical files.
 
 A run that stops at the `--max-sim-time` horizon with events still queued
 is flagged with a loud `WARNING:` — its measurements are truncated, not
 converged.
-
-`analyze` runs the workspace's static analyzer (the root is found by
-walking up from the current directory, or taken from `--root`) and fails
-when any diagnostic fires: token rules for the determinism and
-panic-safety contract (hash collections, wall-clock and environment
-reads, panics in library code, float equality, narrowing casts, `unsafe`),
-cross-crate taint tracking for the wall-clock/RNG determinism boundaries,
-and lock-order, blocking and Condvar discipline over the pool/serve
-layer. `--format sarif` (or `--sarif-out FILE` next to another format)
-emits SARIF 2.1.0 for code-scanning UIs.
 
 `fuzz` generates `--iters` seeded random scenarios and runs each through
 the engine, a naive reference oracle, and the invariant auditor. Any
@@ -113,20 +88,24 @@ in the fuzzer's replayable text format (see `vrecon spec`) to `/run` and
 the deterministic report JSON comes back — byte-identical to what
 `vrecon run --spec FILE --report-out FILE` writes for the same spec.
 Responses come from an in-memory hot tier, the on-disk result cache
-(`--cache-dir`, default `.vr-cache/`; `--no-cache` disables the disk
-tier), or a fresh simulation on `--jobs` workers. Identical concurrent
-requests coalesce onto one run; distinct cold scenarios past
-`--max-inflight` are refused with 503 and connections past `--max-conns`
-with 429 — overload is always explicit, never an invisible queue.
-`GET /stats` reports counters, `GET /healthz` liveness; `--request-log`
-appends one JSON record per request. A spec whose `max-sim-time-s`
-exceeds 1000000 is refused with 400, like any other unrunnable spec.
+(`--cache-dir`, default `.vr-cache/`, `$VR_CACHE_DIR` overrides;
+`--no-cache` disables the disk tier), or a fresh simulation on `--jobs`
+workers. Identical concurrent requests coalesce onto one run; distinct
+cold scenarios past `--max-inflight` are refused with 503 and connections
+past `--max-conns` with 429 — overload is always explicit, never an
+invisible queue. `GET /stats` reports counters, `GET /healthz` liveness;
+`--request-log` appends one JSON record per request. A spec whose
+`max-sim-time-s` exceeds 1000000 is refused with 400, like any other
+unrunnable spec.
 
 `spec` renders one fuzzer-generated scenario spec (`--seed`/`--iter`
-select which). `run --spec FILE` replays such a spec directly instead of
-a trace file (the spec carries its own cluster, policy, seed, and
-horizon, and always audits); `--report-out FILE` writes the canonical
-report encoding — the exact bytes `serve` returns for that spec.
+select which). `run --spec FILE` replays such a spec instead of a trace
+file. The spec carries its own cluster, policy, seed, horizon and fault
+plan, and always audits, so `--cluster`, `--nodes`, `--policy`, `--seed`,
+`--placement`, `--fault-plan`, `--max-sim-time`, `--netram` and `--audit`
+are refused next to it; every output option works as for a trace file.
+`--report-out FILE` writes the canonical report encoding — the exact
+bytes `serve` returns for that spec.
 ";
 
 fn parse_level(raw: &str) -> Result<TraceLevel, ArgError> {
@@ -217,20 +196,16 @@ fn load_trace(path: &str) -> Result<Trace, ArgError> {
 pub fn gen(args: &Args) -> Result<String, ArgError> {
     let level = parse_level(args.opt_or("level", "3"))?;
     let seed = args.opt_parse::<u64>("seed")?.unwrap_or(42);
+    let scale = args.opt_parse::<f64>("scale")?;
+    if let Some(scale) = scale.filter(|s| !(s.is_finite() && *s > 0.0)) {
+        return Err(ArgError(format!(
+            "--scale must be a positive finite number, got {scale}"
+        )));
+    }
     let mut rng = SimRng::seed_from(seed);
     let trace = match args.opt_or("group", "spec") {
-        "spec" => {
-            let scale = args
-                .opt_parse::<f64>("scale")?
-                .unwrap_or(SPEC_LIFETIME_SCALE);
-            spec_trace_scaled(level, &mut rng, scale)
-        }
-        "app" => {
-            let scale = args
-                .opt_parse::<f64>("scale")?
-                .unwrap_or(APP_LIFETIME_SCALE);
-            app_trace_scaled(level, &mut rng, scale)
-        }
+        "spec" => spec_trace_scaled(level, &mut rng, scale.unwrap_or(SPEC_LIFETIME_SCALE)),
+        "app" => app_trace_scaled(level, &mut rng, scale.unwrap_or(APP_LIFETIME_SCALE)),
         other => return Err(ArgError(format!("--group must be spec|app, got {other}"))),
     };
     let out_path = args
@@ -408,61 +383,52 @@ fn write_report_out(path: &str, report: &RunReport) -> Result<(), ArgError> {
     std::fs::write(path, text).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
-/// `vrecon run --spec` — replay a scenario-spec file (the serve wire
-/// format) instead of a trace file. The spec carries its own cluster,
-/// policy, seed, and horizon, and always runs with the auditor on, so
+/// The options a scenario spec already sets, which `run --spec` refuses.
+const SPEC_SETS: &[&str] = &[
+    "cluster",
+    "nodes",
+    "policy",
+    "seed",
+    "placement",
+    "fault-plan",
+    "max-sim-time",
+    "netram",
+    "audit",
+];
+
+/// `run --spec`'s inputs: a scenario-spec file (the serve wire format)
+/// instead of a trace file. The spec carries its own cluster, policy,
+/// seed, horizon and fault plan, and always runs with the auditor on, so
 /// the `--report-out` bytes match a serve response for the same spec.
-fn run_spec(args: &Args, path: &str) -> Result<String, ArgError> {
+fn spec_inputs(args: &Args, path: &str) -> Result<(SimConfig, Trace), ArgError> {
+    if !args.positional().is_empty() {
+        return Err(ArgError(
+            "give either a trace file or --spec, not both".to_owned(),
+        ));
+    }
+    if let Some(name) = SPEC_SETS
+        .iter()
+        .find(|name| args.opt(name).is_some() || args.flag(name))
+    {
+        return Err(ArgError(format!(
+            "--{name} cannot be combined with --spec, which sets it"
+        )));
+    }
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let scenario = CheckScenario::parse(&text)
         .map_err(|e| ArgError(format!("{path} is not a valid scenario spec: {e}")))?;
-    let (config, trace) = scenario
+    scenario
         .to_sim()
-        .map_err(|e| ArgError(format!("{path}: {e}")))?;
-    let report = Scenario::new(config, Arc::new(trace)).run();
-    let mut out = render_report(&report, args.flag("csv"));
-    if let Some(out_path) = args.opt("report-out") {
-        write_report_out(out_path, &report)?;
-        out.push_str(&format!("\nreport -> {out_path}"));
-    }
-    if report.audit_violations.is_empty() {
-        out.push_str("\naudit: clean (no invariant violations)");
-    } else {
-        let mut listing = String::new();
-        for v in &report.audit_violations {
-            listing.push_str("\n  ");
-            listing.push_str(v);
-        }
-        return Err(ArgError(format!(
-            "audit found {} invariant violation(s):{listing}",
-            report.audit_violations.len()
-        )));
-    }
-    if let Some(warning) = truncation_warning(&report) {
-        eprintln!("{warning}");
-        out.push('\n');
-        out.push_str(&warning);
-    }
-    Ok(out)
+        .map_err(|e| ArgError(format!("{path}: {e}")))
 }
 
-/// `vrecon run` — replay a trace under one policy.
-pub fn run(args: &Args) -> Result<String, ArgError> {
-    if let Some(spec_path) = args.opt("spec") {
-        if !args.positional().is_empty() {
-            return Err(ArgError(
-                "give either a trace file or --spec, not both".to_owned(),
-            ));
-        }
-        return run_spec(args, spec_path);
-    }
+/// `run`'s inputs from a trace file and the scenario options.
+fn trace_inputs(args: &Args) -> Result<(SimConfig, Trace), ArgError> {
     let trace = load_trace(args.single_positional("trace file")?)?;
-    let cluster = parse_cluster(args)?;
-    let cluster_size = cluster.size();
     let (policy, policy_params) = parse_policy(args.opt_or("policy", "vrecon"))?;
     let seed = args.opt_parse::<u64>("seed")?.unwrap_or(7);
-    let mut config = SimConfig::new(cluster, policy)
+    let mut config = SimConfig::new(parse_cluster(args)?, policy)
         .with_policy_params(policy_params)
         .with_seed(seed);
     if args.flag("netram") {
@@ -485,21 +451,46 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     config
         .validate()
         .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
+    Ok((config, trace))
+}
+
+/// `vrecon run` — replay a trace file (or, with `--spec`, a scenario
+/// spec) under one policy, then write every output the options ask for.
+pub fn run(args: &Args) -> Result<String, ArgError> {
+    let (config, trace) = match args.opt("spec") {
+        Some(path) => spec_inputs(args, path)?,
+        None => trace_inputs(args)?,
+    };
+    let trace_format = args.opt_or("trace-format", "chrome");
+    let export = trace_exporter(trace_format)?;
     let faulted = config.fault_plan.as_ref().is_some_and(|p| !p.is_empty());
-    let nodes = cluster_size;
-    let simulation = Simulation::new(config);
-    let report = simulation.run(&trace);
+    let audited = config.audit;
+    let nodes = config.cluster.size();
+    // events/sec needs a wall clock, which the deterministic crates refuse
+    // to read, so the CLI times the simulation itself.
+    let started = std::time::Instant::now();
+    let report = Simulation::new(config).run(&trace);
+    let wall_secs = started.elapsed().as_secs_f64();
     let mut out = render_report(&report, args.flag("csv"));
-    if let Some(path) = args.opt("trace-out") {
+    let (trace_out, profile_out) = (args.opt("trace-out"), args.opt("profile-out"));
+    if trace_out.is_some() || profile_out.is_some() {
         let data = report.trace();
-        let format = parse_trace_format(args.opt_or("trace-format", "chrome"))?;
-        write_trace_export(path, format, &data)?;
-        out.push_str(&format!(
-            "\ntrace: {} records, {} spans -> {path} ({})",
-            data.records.len(),
-            data.spans.len(),
-            format.label(),
-        ));
+        if let Some(path) = trace_out {
+            std::fs::write(path, export(&data))
+                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+            out.push_str(&format!(
+                "\ntrace: {} records, {} spans -> {path} ({trace_format})",
+                data.records.len(),
+                data.spans.len(),
+            ));
+        }
+        if let Some(path) = profile_out {
+            let mut text = data.profile.to_json(Some(wall_secs)).render();
+            text.push('\n');
+            std::fs::write(path, text)
+                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+            out.push_str(&format!("\nprofile -> {path}"));
+        }
     }
     if let Some(out_path) = args.opt("report-out") {
         write_report_out(out_path, &report)?;
@@ -521,7 +512,7 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             c.stalled_releases,
         ));
     }
-    if args.flag("audit") {
+    if audited {
         if report.audit_violations.is_empty() {
             out.push_str("\naudit: clean (no invariant violations)");
         } else {
@@ -583,42 +574,15 @@ fn truncation_warning(report: &RunReport) -> Option<String> {
     })
 }
 
-/// Trace export format selector shared by `run --trace-out` and `trace`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Chrome,
-    Jsonl,
-}
-
-impl TraceFormat {
-    fn label(self) -> &'static str {
-        match self {
-            TraceFormat::Chrome => "chrome",
-            TraceFormat::Jsonl => "jsonl",
-        }
-    }
-}
-
-fn parse_trace_format(raw: &str) -> Result<TraceFormat, ArgError> {
-    match raw {
-        "chrome" => Ok(TraceFormat::Chrome),
-        "jsonl" => Ok(TraceFormat::Jsonl),
+/// The exporter `--trace-format` names.
+fn trace_exporter(format: &str) -> Result<fn(&vr_trace::TraceData) -> String, ArgError> {
+    match format {
+        "chrome" => Ok(vr_trace::chrome_trace),
+        "jsonl" => Ok(vr_trace::jsonl),
         other => Err(ArgError(format!(
             "trace format must be chrome|jsonl, got {other}"
         ))),
     }
-}
-
-fn write_trace_export(
-    path: &str,
-    format: TraceFormat,
-    data: &vr_trace::TraceData,
-) -> Result<(), ArgError> {
-    let payload = match format {
-        TraceFormat::Chrome => vr_trace::chrome_trace(data),
-        TraceFormat::Jsonl => vr_trace::jsonl(data),
-    };
-    std::fs::write(path, payload).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
 /// `vrecon compare` — G-Loadsharing vs V-Reconfiguration on one trace.
@@ -683,217 +647,6 @@ pub fn compare(args: &Args) -> Result<String, ArgError> {
         vr.reservations.started,
         vr.reservations.jobs_served
     ))
-}
-
-/// A workload-group trace builder: level + RNG in, full trace out.
-type TraceBuilder = fn(TraceLevel, &mut SimRng) -> Trace;
-
-/// One workload group's cluster and trace builder for `vrecon sweep`.
-fn sweep_group(name: &str) -> Result<(ClusterParams, TraceBuilder), ArgError> {
-    match name {
-        "spec" => Ok((ClusterParams::cluster1(), |l, r| {
-            spec_trace_scaled(l, r, SPEC_LIFETIME_SCALE)
-        })),
-        "app" => Ok((ClusterParams::cluster2(), |l, r| {
-            app_trace_scaled(l, r, APP_LIFETIME_SCALE)
-        })),
-        other => Err(ArgError(format!("group must be spec|app, got {other}"))),
-    }
-}
-
-/// `vrecon sweep` — the full five-trace sweep of one or more workload
-/// groups, G-Loadsharing vs V-Reconfiguration (the data behind Figures
-/// 1–4). Groups are positional (`vrecon sweep spec app`); the whole matrix
-/// executes on the experiment runner, so `--jobs N` parallelises it and
-/// the content-addressed result cache makes repeat sweeps cheap
-/// (`--no-cache` bypasses it). Tables are bit-identical for any `--jobs`
-/// value; a cache/timing line is appended for scripts to grep.
-pub fn sweep(args: &Args) -> Result<String, ArgError> {
-    let mut groups: Vec<&str> = args.positional().iter().map(String::as_str).collect();
-    if groups.is_empty() {
-        groups.push("spec");
-    }
-    let seed = args.opt_parse::<u64>("seed")?.unwrap_or(7);
-    let trace_seed = args.opt_parse::<u64>("trace-seed")?.unwrap_or(42);
-    let jobs = args.opt_parse::<usize>("jobs")?.unwrap_or(0);
-    let cache = if args.flag("no-cache") {
-        ResultCache::disabled()
-    } else {
-        ResultCache::at(vr_runner::default_cache_dir())
-    };
-
-    let mut plan = SweepPlan::new();
-    for name in &groups {
-        let (cluster, build) = sweep_group(name)?;
-        for level in TraceLevel::ALL {
-            let trace = Arc::new(build(level, &mut SimRng::seed_from(trace_seed)));
-            for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
-                plan.push(Scenario::new(
-                    SimConfig::new(cluster.clone(), policy).with_seed(seed),
-                    Arc::clone(&trace),
-                ));
-            }
-        }
-    }
-
-    let runner = Runner::new(SweepOptions {
-        jobs,
-        cache,
-        progress: std::io::stderr().is_terminal(),
-    });
-    let outcome = runner.run(&plan);
-    if let Some((index, message)) = outcome.failures.first() {
-        return Err(ArgError(format!("scenario {index} failed: {message}")));
-    }
-    for result in outcome.results.iter().flatten() {
-        if !result.report.run_stats.drained {
-            eprintln!(
-                "WARNING: horizon-truncated run [{}]: stopped at max-sim-time with events \
-                 still queued — measurements are truncated, not converged",
-                result.label,
-            );
-        }
-    }
-    let mut results = outcome.results.iter().flatten();
-
-    let mut out = String::new();
-    for (i, name) in groups.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        if groups.len() > 1 {
-            out.push_str(&format!("group {name}:\n"));
-        }
-        let mut table = TextTable::new(vec![
-            "trace",
-            "exec reduction",
-            "queue reduction",
-            "slowdown G-LS",
-            "slowdown V-R",
-            "slowdown reduction",
-        ]);
-        for _ in TraceLevel::ALL {
-            let gls = &results
-                .next()
-                .ok_or_else(|| ArgError("sweep produced fewer results than planned".into()))?
-                .report;
-            let vr = &results
-                .next()
-                .ok_or_else(|| ArgError("sweep produced fewer results than planned".into()))?
-                .report;
-            let exec = MetricComparison::new(gls.total_execution_secs(), vr.total_execution_secs());
-            let queue = MetricComparison::new(gls.total_queue_secs(), vr.total_queue_secs());
-            let slow = MetricComparison::new(gls.avg_slowdown(), vr.avg_slowdown());
-            table.row(vec![
-                gls.trace_name.clone(),
-                format!("{:.1}%", exec.reduction()),
-                format!("{:.1}%", queue.reduction()),
-                fmt_f(slow.baseline, 2),
-                fmt_f(slow.candidate, 2),
-                format!("{:.1}%", slow.reduction()),
-            ]);
-        }
-        out.push_str(&table.render());
-    }
-    out.push_str(&format!(
-        "\nsweep: {} scenarios on {} workers in {:.2}s; cache: {} hits, {} misses",
-        plan.len(),
-        outcome.jobs,
-        outcome.wall.as_secs_f64(),
-        outcome.cache.hits,
-        outcome.cache.misses,
-    ));
-    Ok(out)
-}
-
-/// `vrecon trace` — replay one workload-group scenario and export the
-/// structured trace derived from its report (plus, optionally, profiling
-/// counters). The trace bytes are a pure function of the scenario — two
-/// identical invocations write byte-identical files.
-pub fn trace(args: &Args) -> Result<String, ArgError> {
-    let group = args.single_positional("workload group (spec|app)")?;
-    let (mut cluster, build) = sweep_group(group)?;
-    if let Some(n) = args.opt_parse::<usize>("nodes")? {
-        if n == 0 || n > cluster.size() {
-            return Err(ArgError(format!(
-                "--nodes must be 1..={}, got {n}",
-                cluster.size()
-            )));
-        }
-        cluster.nodes.truncate(n);
-    }
-    let level = parse_level(args.opt_or("level", "3"))?;
-    let (policy, policy_params) = parse_policy(args.opt_or("policy", "vrecon"))?;
-    let seed = args.opt_parse::<u64>("seed")?.unwrap_or(7);
-    let trace_seed = args.opt_parse::<u64>("trace-seed")?.unwrap_or(42);
-    let workload = build(level, &mut SimRng::seed_from(trace_seed));
-    let mut config = SimConfig::new(cluster, policy)
-        .with_policy_params(policy_params)
-        .with_seed(seed);
-    if let Some(horizon) = parse_max_sim_time(args)? {
-        config = config.with_max_sim_time(horizon);
-    }
-    config
-        .validate()
-        .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
-
-    let started = std::time::Instant::now();
-    let report = Simulation::new(config).run(&workload);
-    let wall_secs = started.elapsed().as_secs_f64();
-    let data = report.trace();
-
-    let format = parse_trace_format(args.opt_or("format", "chrome"))?;
-    let out_path = args.opt("out").unwrap_or(match format {
-        TraceFormat::Chrome => "vr-trace.json",
-        TraceFormat::Jsonl => "vr-trace.jsonl",
-    });
-    write_trace_export(out_path, format, &data)?;
-
-    let mut out = format!(
-        "traced {} under {}: {} engine events, {} records, {} spans -> {out_path} ({})",
-        workload.name,
-        report.policy,
-        report.run_stats.events_processed,
-        data.records.len(),
-        data.spans.len(),
-        format.label(),
-    );
-    if let Some(profile_path) = args.opt("profile-out") {
-        // events/sec needs a wall clock, which the deterministic trace
-        // crate refuses to read — the CLI times the run and injects it.
-        let mut text = data.profile.to_json(Some(wall_secs)).render();
-        text.push('\n');
-        std::fs::write(profile_path, text)
-            .map_err(|e| ArgError(format!("cannot write {profile_path}: {e}")))?;
-        out.push_str(&format!("; profile -> {profile_path}"));
-    }
-    if let Some(warning) = truncation_warning(&report) {
-        eprintln!("{warning}");
-        out.push('\n');
-        out.push_str(&warning);
-    }
-    Ok(out)
-}
-
-/// `vrecon analyze`: run the static analyzer over the workspace.
-///
-/// Succeeds (with the rendered report) only when no diagnostic fires;
-/// any finding fails the command. `--sarif-out` writes a SARIF report
-/// alongside whatever `--format` prints.
-pub fn analyze(args: &Args) -> Result<String, ArgError> {
-    let format = Format::parse(args.opt_or("format", "text")).map_err(ArgError)?;
-    let root = workspace_root(args.opt("root")).map_err(ArgError)?;
-    let report = analyze_workspace(&root).map_err(ArgError)?;
-    if let Some(path) = args.opt("sarif-out") {
-        std::fs::write(path, report.render_sarif())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-    }
-    let rendered = report.render(format);
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(ArgError(rendered))
-    }
 }
 
 /// `vrecon fuzz` — differential fuzzing of engine vs oracle vs auditor.
@@ -1074,6 +827,7 @@ const COMMANDS: &[Command] = &[
             "max-sim-time",
             "trace-out",
             "trace-format",
+            "profile-out",
             "spec",
             "report-out",
         ],
@@ -1083,34 +837,6 @@ const COMMANDS: &[Command] = &[
         name: "compare",
         run: compare,
         options: &["cluster", "nodes", "seed"],
-        flags: &[],
-    },
-    Command {
-        name: "sweep",
-        run: sweep,
-        options: &["seed", "trace-seed", "jobs"],
-        flags: &["no-cache"],
-    },
-    Command {
-        name: "trace",
-        run: trace,
-        options: &[
-            "level",
-            "policy",
-            "seed",
-            "trace-seed",
-            "nodes",
-            "max-sim-time",
-            "format",
-            "out",
-            "profile-out",
-        ],
-        flags: &[],
-    },
-    Command {
-        name: "analyze",
-        run: analyze,
-        options: &["root", "format", "sarif-out"],
         flags: &[],
     },
     Command {
@@ -1285,30 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_subcommand_renders_and_fails_on_findings() {
-        let root = std::env::temp_dir().join(format!("vrecon-analyze-{}", std::process::id()));
-        let src = root.join("crates/core/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-        std::fs::write(src.join("lib.rs"), "pub fn fine() -> u64 { 7 }\n").unwrap();
-        let dir = root.to_str().unwrap();
-        let out = dispatch("analyze", &args(&["--root", dir])).unwrap();
-        assert!(out.ends_with("0 diagnostic(s)"), "unexpected output: {out}");
-        let sarif = dispatch("analyze", &args(&["--root", dir, "--format", "sarif"])).unwrap();
-        assert!(sarif.contains("\"2.1.0\""), "unexpected output: {sarif}");
-        assert!(dispatch("analyze", &args(&["--root", dir, "--format", "yaml"])).is_err());
-        std::fs::write(
-            src.join("lib.rs"),
-            "pub fn bad(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        )
-        .unwrap();
-        let err = dispatch("analyze", &args(&["--root", dir])).unwrap_err();
-        assert!(err.0.contains("error[panic-in-lib]"), "{}", err.0);
-        assert!(dispatch("lint", &args(&["--root", dir])).is_err());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn cluster_parsing_with_truncation_and_growth() {
         let c = parse_cluster(&args(&["--cluster", "cluster1", "--nodes", "4"])).unwrap();
         assert_eq!(c.size(), 4);
@@ -1398,67 +1100,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rejects_bad_group() {
-        let err = sweep(&args(&["weird"])).unwrap_err();
-        assert!(err.0.contains("group must be spec|app"), "{}", err.0);
-        // Groups are positional only; there is no option spelling.
-        let err = dispatch("sweep", &args(&["--group", "app"])).unwrap_err();
-        assert_eq!(err.0, "vrecon sweep does not take --group");
-    }
-
-    #[test]
-    fn trace_subcommand_writes_deterministic_parseable_traces() {
-        let dir = std::env::temp_dir().join(format!("vrecon-cli-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let chrome = dir.join("t.json");
-        let chrome_str = chrome.to_str().unwrap();
-        let profile = dir.join("p.json");
-        let profile_str = profile.to_str().unwrap();
-        let base = [
-            "app",
-            "--level",
-            "1",
-            "--nodes",
-            "8",
-            "--out",
-            chrome_str,
-            "--profile-out",
-            profile_str,
-        ];
-        let msg = trace(&args(&base)).unwrap();
-        assert!(msg.contains("spans ->"), "{msg}");
-        let first = std::fs::read(&chrome).unwrap();
-        let doc = vr_simcore::jsonio::Json::parse(std::str::from_utf8(&first).unwrap()).unwrap();
-        assert!(
-            doc.get("traceEvents")
-                .and_then(vr_simcore::jsonio::Json::as_arr)
-                .is_some_and(|events| !events.is_empty()),
-            "chrome trace has events"
-        );
-        let prof =
-            vr_simcore::jsonio::Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
-        assert!(prof.get("events_per_sec").is_some(), "profile has rate");
-        // Byte-identity across reruns (the determinism contract).
-        trace(&args(&base)).unwrap();
-        assert_eq!(first, std::fs::read(&chrome).unwrap());
-        // JSONL export: every line parses.
-        let jsonl_path = dir.join("t.jsonl");
-        let jsonl_str = jsonl_path.to_str().unwrap();
-        trace(&args(&[
-            "app", "--level", "1", "--nodes", "8", "--format", "jsonl", "--out", jsonl_str,
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&jsonl_path).unwrap();
-        assert!(text.lines().count() > 1);
-        for line in text.lines() {
-            vr_simcore::jsonio::Json::parse(line).unwrap();
-        }
-        assert!(trace(&args(&["app", "--format", "yaml"])).is_err());
-        assert!(trace(&args(&["weird"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn truncated_runs_warn_loudly() {
         let dir = std::env::temp_dir().join(format!("vrecon-cli-trunc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1491,8 +1132,8 @@ mod tests {
     }
 
     #[test]
-    fn run_trace_out_writes_trace_next_to_report() {
-        let dir = std::env::temp_dir().join(format!("vrecon-cli-traceout-{}", std::process::id()));
+    fn run_trace_and_profile_out_are_deterministic_and_parseable() {
+        let dir = std::env::temp_dir().join(format!("vrecon-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.vrt");
         let path_str = path.to_str().unwrap();
@@ -1500,22 +1141,51 @@ mod tests {
             "--group", "app", "--level", "1", "--scale", "0.02", "--out", path_str,
         ]))
         .unwrap();
-        let trace_path = dir.join("out.jsonl");
-        let trace_str = trace_path.to_str().unwrap();
-        let msg = run(&args(&[
+        let chrome = dir.join("t.json");
+        let chrome_str = chrome.to_str().unwrap();
+        let profile = dir.join("p.json");
+        let profile_str = profile.to_str().unwrap();
+        let base = [
             path_str,
-            "--policy",
-            "gls",
             "--nodes",
             "8",
             "--trace-out",
-            trace_str,
+            chrome_str,
+            "--profile-out",
+            profile_str,
+        ];
+        let msg = run(&args(&base)).unwrap();
+        assert!(msg.contains("spans ->"), "{msg}");
+        assert!(msg.contains("profile ->"), "{msg}");
+        let first = std::fs::read(&chrome).unwrap();
+        let doc = vr_simcore::jsonio::Json::parse(std::str::from_utf8(&first).unwrap()).unwrap();
+        assert!(
+            doc.get("traceEvents")
+                .and_then(vr_simcore::jsonio::Json::as_arr)
+                .is_some_and(|events| !events.is_empty()),
+            "chrome trace has events"
+        );
+        let prof =
+            vr_simcore::jsonio::Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        assert!(prof.get("events_per_sec").is_some(), "profile has rate");
+        // Byte-identity across reruns (the determinism contract).
+        run(&args(&base)).unwrap();
+        assert_eq!(first, std::fs::read(&chrome).unwrap());
+        // JSONL export: a header line, then every line parses.
+        let jsonl_path = dir.join("t.jsonl");
+        let jsonl_str = jsonl_path.to_str().unwrap();
+        run(&args(&[
+            path_str,
+            "--nodes",
+            "8",
+            "--trace-out",
+            jsonl_str,
             "--trace-format",
             "jsonl",
         ]))
         .unwrap();
-        assert!(msg.contains("trace:"), "{msg}");
-        let text = std::fs::read_to_string(&trace_path).unwrap();
+        let text = std::fs::read_to_string(&jsonl_path).unwrap();
+        assert!(text.lines().count() > 1);
         let header = vr_simcore::jsonio::Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(
             header
@@ -1523,12 +1193,32 @@ mod tests {
                 .and_then(vr_simcore::jsonio::Json::as_str),
             Some("vr-trace")
         );
+        for line in text.lines() {
+            vr_simcore::jsonio::Json::parse(line).unwrap();
+        }
+        let err = run(&args(&[
+            path_str,
+            "--trace-out",
+            jsonl_str,
+            "--trace-format",
+            "yaml",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("chrome|jsonl"), "{}", err.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn gen_refuses_a_scale_that_is_not_positive_and_finite() {
+        for scale in ["0", "-1", "NaN", "inf"] {
+            let err = gen(&args(&["--group", "app", "--scale", scale])).unwrap_err();
+            assert!(err.0.contains("--scale must be"), "{scale}: {}", err.0);
+        }
+    }
+
+    #[test]
     fn dispatch_rejects_unknown() {
-        for name in ["frobnicate", "loadgen"] {
+        for name in ["frobnicate", "loadgen", "sweep", "trace", "analyze"] {
             let err = dispatch(name, &args(&[])).unwrap_err();
             assert!(err.0.contains("unknown subcommand"), "{}", err.0);
         }
@@ -1593,7 +1283,7 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_report_out_matches_the_serve_bytes() {
+    fn run_spec_matches_the_serve_bytes_and_refuses_what_the_spec_sets() {
         let dir = std::env::temp_dir().join(format!("vrecon-cli-spec-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec_path = dir.join("s.txt");
@@ -1608,12 +1298,51 @@ mod tests {
         // carry for the same spec: canonical encoding plus newline.
         let scenario = generate(7, 3);
         let (config, trace) = scenario.to_sim().unwrap();
-        let report = Scenario::new(config, Arc::new(trace)).run();
+        let report = Simulation::new(config).run(&trace);
         let want = format!("{}\n", encode_report(&report));
         assert_eq!(std::fs::read_to_string(&report_path).unwrap(), want);
-        // --spec and a positional trace file are mutually exclusive.
+        // --spec and a positional trace file are mutually exclusive, and
+        // so are --spec and every setting the spec carries.
         let err = run(&args(&["t.vrt", "--spec", spec_str])).unwrap_err();
         assert!(err.0.contains("not both"), "{}", err.0);
+        for (option, value) in [
+            ("cluster", Some("cluster1")),
+            ("nodes", Some("2")),
+            ("policy", Some("gls")),
+            ("seed", Some("99")),
+            ("placement", Some("commit-aware")),
+            ("fault-plan", Some("/nonexistent")),
+            ("max-sim-time", Some("1")),
+            ("netram", None),
+            ("audit", None),
+        ] {
+            let flag = format!("--{option}");
+            let mut tokens = vec!["--spec", spec_str, flag.as_str()];
+            tokens.extend(value);
+            let err = run(&args(&tokens)).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("{flag} cannot be combined with --spec, which sets it")
+            );
+        }
+        // Output options apply to a spec as to a trace file, and leave the
+        // report bytes as they are.
+        let trace_path = dir.join("t.json");
+        let msg = run(&args(&[
+            "--spec",
+            spec_str,
+            "--gantt",
+            "--log",
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+            "--report-out",
+            report_str,
+        ]))
+        .unwrap();
+        assert!(msg.contains("occupancy over"), "{msg}");
+        assert!(msg.contains("scheduler event log:"), "{msg}");
+        assert!(!std::fs::read(&trace_path).unwrap().is_empty());
+        assert_eq!(std::fs::read_to_string(&report_path).unwrap(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,7 @@
 //! vrecon inspect spec3.vrt
 //! vrecon run spec3.vrt --cluster cluster1 --policy vrecon
 //! vrecon compare spec3.vrt --cluster cluster1
-//! vrecon trace spec --level 3 --out spec3-trace.json
+//! vrecon run spec3.vrt --cluster cluster1 --trace-out spec3-trace.json
 //! ```
 
 mod args;

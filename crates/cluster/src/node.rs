@@ -607,9 +607,11 @@ impl Workstation {
     ///
     /// # Panics
     ///
-    /// Panics if a job's projected completion is too far away to represent
-    /// as a span (a progress rate pathologically close to zero under an
-    /// extreme stall curve).
+    /// Never: the projection reaches `SimSpan::from_secs_f64` only when
+    /// finite and non-negative. One too far away to represent as a span (a
+    /// huge CPU demand, or a progress rate pathologically close to zero
+    /// under an extreme stall curve) saturates at [`SimSpan::MAX`], so
+    /// adding it to an instant must be checked.
     pub fn next_event_in(&self) -> Option<SimSpan> {
         if self.jobs.is_empty() {
             return None;

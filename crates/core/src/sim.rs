@@ -666,11 +666,18 @@ impl ClusterWorld {
         let node = self.node(node_id);
         debug_assert!(node.last_update() == now, "wake scheduled on stale node");
         if let Some(delay) = node.next_event_in() {
-            let epoch = node.epoch();
             // A sub-microsecond prediction would round to a zero-delay event
             // that re-fires at the same instant forever; clamp to one tick.
+            let delay = delay.max(SimSpan::from_micros(1));
+            // A prediction past the last representable instant (the span
+            // saturates at `SimSpan::MAX`) can never fire before any
+            // horizon, so it is not scheduled at all.
+            if now.checked_add(delay).is_none() {
+                return;
+            }
+            let epoch = node.epoch();
             sched.schedule_in(
-                delay.max(SimSpan::from_micros(1)),
+                delay,
                 Event::NodeWake {
                     node: node_id,
                     epoch,

@@ -11,11 +11,10 @@
 //! grammar with mandatory reasons and stale-directive reporting, and one
 //! report with rustc-style `file:line:col` text, JSON and SARIF output.
 //!
-//! Three entry points run it:
+//! Two entry points run it:
 //!
 //! * the `vr-analyze` binary (`cargo run -p vr-lint --bin vr-analyze`),
 //!   used by CI;
-//! * the `vrecon analyze` subcommand;
 //! * the workspace self-check test (`tests/lint_clean.rs` at the
 //!   workspace root), which makes tier-1 `cargo test -q` fail on any new
 //!   hazard.

@@ -1,8 +1,8 @@
 //! # vr-runner — experiment orchestration
 //!
-//! The sweep engine behind the bench binaries and `vrecon sweep`: runs
-//! many independent, deterministic simulations in parallel without
-//! sacrificing reproducibility.
+//! The sweep engine behind the bench binaries (`experiments`,
+//! `ablation`, `robustness`): runs many independent, deterministic
+//! simulations in parallel without sacrificing reproducibility.
 //!
 //! * [`scenario`] — [`Scenario`] descriptors (cluster + trace + policy +
 //!   seed + fault plan) with a stable 128-bit content hash, and ordered

@@ -6,7 +6,7 @@
 //! leaking into code that must stay deterministic, this module is the
 //! **only** file in `vr-serve` allowed to name [`std::time::Instant`]:
 //! it declares itself a wall-clock boundary (the `vr-analyze::boundary`
-//! directive below) and `vrecon analyze` proves the taint property —
+//! directive below) and `vr-analyze` proves the taint property —
 //! any function that transitively reaches `Instant::now` must absorb
 //! the taint here or carry its own reasoned allow. Everything else in
 //! the crate handles opaque [`Stopwatch`] values and plain `Duration`s,

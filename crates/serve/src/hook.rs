@@ -2,8 +2,8 @@
 //! seam: the server calls a [`RequestHook`] exactly once per answered
 //! request with a structured [`RequestRecord`]; sinks decide what to do
 //! with it. The bundled sink, [`JsonlRequestLog`], appends one JSON object
-//! per line — the same greppable shape `vrecon trace` emits for simulator
-//! events.
+//! per line — the same greppable shape `vrecon run --trace-format jsonl`
+//! emits for simulator events.
 
 use std::io::Write;
 use std::path::Path;

@@ -26,7 +26,7 @@
 //! * [`client`] — the blocking client the integration tests and the
 //!   benchmark's what-if workloads drive the server with.
 //! * [`clock`] — the only module allowed to read the wall clock
-//!   (enforced by `vrecon analyze`); everything else handles opaque
+//!   (enforced by `vr-analyze`); everything else handles opaque
 //!   [`clock::Stopwatch`] values.
 
 #![warn(missing_docs)]

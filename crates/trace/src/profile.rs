@@ -22,7 +22,7 @@ pub struct TraceProfile {
 }
 
 impl TraceProfile {
-    /// Renders the profile as JSON (what `vrecon trace --profile-out FILE`
+    /// Renders the profile as JSON (what `vrecon run --profile-out FILE`
     /// writes).
     ///
     /// `wall_secs`, when provided by the caller that timed the run, adds

@@ -98,6 +98,42 @@ fn horizon_cutoff_reports_unfinished_jobs_without_panicking() {
 }
 
 #[test]
+fn wakes_past_the_end_of_simulated_time_are_not_scheduled() {
+    // Two jobs of 10^19 µs CPU work share one node, so each finishes
+    // 2·10^19 µs out: past the last representable instant. The node's
+    // wake cannot be scheduled, and the run goes to its horizon with both
+    // jobs unfinished instead of overflowing the clock.
+    let job = |i: u64| JobSpec {
+        id: JobId(i),
+        name: format!("far-{i}"),
+        class: JobClass::CpuIntensive,
+        submit: SimTime::from_micros(i),
+        cpu_work: SimSpan::from_micros(10_000_000_000_000_000_000),
+        memory: MemoryProfile::constant(Bytes::from_mb(1)),
+        io_rate: 0.0,
+        malleable: None,
+    };
+    let trace = Trace {
+        name: "far-future".into(),
+        jobs: vec![job(0), job(1)],
+    };
+    let mut cluster = ClusterParams::cluster1();
+    cluster.nodes.truncate(1);
+    for policy in [PolicyKind::GLoadSharing, PolicyKind::VReconfiguration] {
+        let config = SimConfig::new(cluster.clone(), policy)
+            .with_seed(7)
+            .with_max_sim_time(SimSpan::from_secs(600));
+        let report = Simulation::new(config).run(&trace);
+        assert!(!report.run_stats.drained, "{policy}");
+        assert_eq!(report.unfinished_jobs, 2, "{policy}");
+        assert!(
+            report.jobs.iter().all(|j| j.breakdown.cpu > 0.0),
+            "{policy}: both jobs ran until the horizon"
+        );
+    }
+}
+
+#[test]
 fn job_arriving_after_horizon_counts_as_unfinished() {
     let mut config = SimConfig::new(tiny_cluster(), PolicyKind::GLoadSharing).with_seed(1);
     config.max_sim_time = SimSpan::from_secs(10);

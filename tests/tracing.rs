@@ -141,8 +141,9 @@ fn report_bytes_identical_across_runner_worker_counts() {
 
 #[test]
 fn pending_and_transit_spans_never_overlap() {
-    // `vrecon trace app --level 1 --nodes 8`, the run CI's trace smoke test
-    // exports: App-Trace-1 on eight cluster-2 nodes under V-R.
+    // `vrecon run --nodes 8 --trace-out` of `vrecon gen --group app --level
+    // 1`, the run CI's trace smoke test exports: App-Trace-1 on eight
+    // cluster-2 nodes under V-R.
     let trace = app_trace(TraceLevel::Light, &mut SimRng::seed_from(42));
     let config = SimConfig::new(small_cluster(), PolicyKind::VReconfiguration).with_seed(7);
     let data = Simulation::new(config).run(&trace).trace();
