@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::Arc;
 
-use vr_check::fuzz::generate;
+use vr_check::fuzz::{generate, MAX_SIM_TIME_S};
 use vr_check::{run_fuzz, CheckScenario, FuzzOptions, OracleSkew};
 use vr_cluster::params::ClusterParams;
 use vr_faults::FaultPlan;
@@ -73,7 +73,8 @@ deterministic: same trace + seed ⇒ byte-identical files.
 
 A run that stops at the `--max-sim-time` horizon with events still queued
 is flagged with a loud `WARNING:` — its measurements are truncated, not
-converged.
+converged. `--max-sim-time` must be positive and at most 1000000 seconds,
+the bound a spec's `max-sim-time-s` has.
 
 `fuzz` generates `--iters` seeded random scenarios and runs each through
 the engine, a naive reference oracle, and the invariant auditor. Any
@@ -548,12 +549,15 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `--max-sim-time SECS` as a span, if given.
+/// `--max-sim-time SECS` as a span, if given. The horizon is bounded like a
+/// spec's `max-sim-time-s`, since the gauge series grow with it.
 fn parse_max_sim_time(args: &Args) -> Result<Option<vr_simcore::time::SimSpan>, ArgError> {
     match args.opt_parse::<f64>("max-sim-time")? {
-        Some(secs) if secs > 0.0 => Ok(Some(vr_simcore::time::SimSpan::from_secs_f64(secs))),
+        Some(secs) if secs > 0.0 && secs <= MAX_SIM_TIME_S as f64 => {
+            Ok(Some(vr_simcore::time::SimSpan::from_secs_f64(secs)))
+        }
         Some(secs) => Err(ArgError(format!(
-            "--max-sim-time must be positive, got {secs}"
+            "--max-sim-time must be positive and within the bound of {MAX_SIM_TIME_S} s, got {secs}"
         ))),
         None => Ok(None),
     }
@@ -1127,7 +1131,14 @@ mod tests {
         // A drained run stays clean.
         let msg = run(&args(&[path_str, "--policy", "gls", "--nodes", "8"])).unwrap();
         assert!(!msg.contains("WARNING"), "unexpected warning: {msg}");
-        assert!(run(&args(&[path_str, "--max-sim-time", "0"])).is_err());
+        for bad in ["0", "inf", "NaN", "1000001"] {
+            let err = run(&args(&[path_str, "--max-sim-time", bad])).unwrap_err();
+            assert!(
+                err.0.contains("within the bound of 1000000 s"),
+                "{bad}: {}",
+                err.0
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -62,8 +62,32 @@ pub enum SchedulerEventKind {
 }
 
 impl SchedulerEventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [SchedulerEventKind; 18] = [
+        SchedulerEventKind::Submitted,
+        SchedulerEventKind::Placed,
+        SchedulerEventKind::Blocked,
+        SchedulerEventKind::TransitStarted,
+        SchedulerEventKind::BlockingDetected,
+        SchedulerEventKind::MigrationStarted,
+        SchedulerEventKind::MigratedOut,
+        SchedulerEventKind::SpecialServiceStarted,
+        SchedulerEventKind::Suspended,
+        SchedulerEventKind::Resumed,
+        SchedulerEventKind::ReservationBegan,
+        SchedulerEventKind::ReservationReleased,
+        SchedulerEventKind::Completed,
+        SchedulerEventKind::NodeCrashed,
+        SchedulerEventKind::NodeRestarted,
+        SchedulerEventKind::MigrationFailed,
+        SchedulerEventKind::Requeued,
+        SchedulerEventKind::JobResized,
+    ];
+
     /// The stable string token for this kind — the `Display` form, the
     /// JSON encoding, and the trace-record `kind`, all from one table.
+    /// Tokens are lowercase ASCII words joined by `-`, so they need no
+    /// escaping in JSON.
     pub fn token(self) -> &'static str {
         match self {
             SchedulerEventKind::Submitted => "submitted",

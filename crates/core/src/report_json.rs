@@ -3,16 +3,22 @@
 //! The workspace's `serde` is a no-op offline stand-in (see
 //! `compat/README.md`), so the experiment runner's content-addressed result
 //! cache needs a hand-rolled, exactly-invertible encoding of the report.
-//! This module provides it on top of [`vr_simcore::jsonio`]:
+//! This module provides it:
 //!
+//! * [`encode_report`] writes each field straight into one pre-sized
+//!   buffer through [`vr_simcore::jsonio`]'s write primitives, with no
+//!   document tree in between. Its bytes are the canonical form that
+//!   [`Json::render`] gives for the same document, so
+//!   `Json::parse(text).render() == text`;
 //! * every field of [`RunReport`] and its nested types round-trips
 //!   bit-for-bit (`decode(encode(r)) == r`, asserted via the report's
 //!   `PartialEq`, which compares `f64`s exactly);
 //! * encoding is deterministic (object fields are emitted in a fixed
 //!   order), so equal reports produce byte-identical cache files;
-//! * decoding validates structure and invariants (event-log and
-//!   time-series ordering, memory-profile monotonicity) and returns an
-//!   error instead of panicking on a corrupted or stale cache file.
+//! * [`decode_report`] parses a [`Json`] tree and validates structure and
+//!   invariants (event-log and time-series ordering, memory-profile
+//!   monotonicity), returning an error instead of panicking on a corrupted
+//!   or stale cache file.
 //!
 //! A [`SCHEMA_VERSION`] is embedded in every document; bumping it when the
 //! report shape changes makes old cache entries decode errors (which the
@@ -27,7 +33,7 @@ use vr_faults::FaultCounters;
 use vr_metrics::sampler::ClusterGauges;
 use vr_metrics::summary::WorkloadSummary;
 use vr_simcore::engine::RunStats;
-use vr_simcore::jsonio::Json;
+use vr_simcore::jsonio::{write_f64, write_str, write_u64, F64Memo, Json};
 use vr_simcore::stats::Summary;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_simcore::TimeSeries;
@@ -49,8 +55,16 @@ use crate::reservation::ReservationStats;
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// Encodes a report as a compact JSON string.
+///
+/// The string has room for one more byte, so the `'\n'` that `vrecon serve`
+/// and `vrecon run --report-out` append does not copy it.
 pub fn encode_report(report: &RunReport) -> String {
-    report_to_json(report).render()
+    let mut w = Writer {
+        out: String::with_capacity(encoded_size_hint(report) + 1),
+        memo: F64Memo::default(),
+    };
+    w.report(report);
+    w.out
 }
 
 /// Decodes a report from a JSON string produced by [`encode_report`].
@@ -64,31 +78,296 @@ pub fn decode_report(text: &str) -> Result<RunReport, String> {
     report_from_json(&doc)
 }
 
-fn report_to_json(r: &RunReport) -> Json {
-    Json::obj([
-        ("schema", Json::U64(SCHEMA_VERSION)),
-        ("trace_name", Json::str(&r.trace_name)),
-        ("policy", Json::str(entry(r.policy).token)),
-        ("seed", Json::U64(r.seed)),
-        ("jobs", Json::Arr(r.jobs.iter().map(job_to_json).collect())),
-        ("summary", summary_to_json(&r.summary)),
-        ("gauges", gauges_to_json(&r.gauges)),
-        ("counters", counters_to_json(&r.counters)),
-        ("reservations", reservations_to_json(&r.reservations)),
-        (
-            "node_counters",
-            Json::Arr(r.node_counters.iter().map(node_counters_to_json).collect()),
-        ),
-        ("events", events_to_json(&r.events)),
-        ("finished_at", Json::U64(r.finished_at.as_micros())),
-        ("run_stats", run_stats_to_json(&r.run_stats)),
-        ("unfinished_jobs", Json::U64(r.unfinished_jobs as u64)),
-        ("faults", faults_to_json(&r.faults)),
-        (
-            "audit_violations",
-            Json::Arr(r.audit_violations.iter().map(Json::str).collect()),
-        ),
-    ])
+/// Bytes to reserve for a report's encoding: each part's measured size
+/// per item, rounded up, so the buffer is allocated once. The gauge
+/// series and the event log dominate long runs (about 19–26 bytes per
+/// sample and 28–33 per event on the paper's traces).
+fn encoded_size_hint(r: &RunReport) -> usize {
+    let samples: usize = gauge_series(&r.gauges).iter().map(|(_, s)| s.len()).sum();
+    let phases: usize = r.jobs.iter().map(|j| j.spec.memory.phases().len()).sum();
+    let text = r.trace_name.len() + r.audit_violations.iter().map(String::len).sum::<usize>();
+    1280 + 2 * text
+        + 360 * r.jobs.len()
+        + 32 * phases
+        + 160 * r.node_counters.len()
+        + 26 * samples
+        + 34 * r.events.len()
+}
+
+/// The gauge series with their keys, in encoding order.
+fn gauge_series(g: &ClusterGauges) -> [(&'static str, &TimeSeries); 5] {
+    [
+        ("idle_memory_mb", &g.idle_memory_mb),
+        ("physical_idle_memory_mb", &g.physical_idle_memory_mb),
+        ("balance_skew", &g.balance_skew),
+        ("reserved_nodes", &g.reserved_nodes),
+        ("pending_jobs", &g.pending_jobs),
+    ]
+}
+
+/// Writes a report into one buffer, each object's fields in a fixed order.
+struct Writer {
+    out: String,
+    memo: F64Memo,
+}
+
+/// A value that [`Writer::field`] writes in place.
+trait Scalar {
+    fn write(self, w: &mut Writer);
+}
+
+impl Scalar for u64 {
+    fn write(self, w: &mut Writer) {
+        write_u64(self, &mut w.out);
+    }
+}
+
+impl Scalar for f64 {
+    fn write(self, w: &mut Writer) {
+        write_f64(self, &mut w.memo, &mut w.out);
+    }
+}
+
+impl Scalar for &str {
+    fn write(self, w: &mut Writer) {
+        write_str(self, &mut w.out);
+    }
+}
+
+impl Scalar for bool {
+    fn write(self, w: &mut Writer) {
+        w.out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+impl Scalar for Option<u64> {
+    fn write(self, w: &mut Writer) {
+        match self {
+            Some(n) => n.write(w),
+            None => w.out.push_str("null"),
+        }
+    }
+}
+
+impl Writer {
+    /// Starts field `key` of the object being written. Keys are written
+    /// verbatim: none needs escaping.
+    fn key(&mut self, key: &str) {
+        if !self.out.ends_with('{') {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    fn field(&mut self, key: &str, value: impl Scalar) {
+        self.key(key);
+        value.write(self);
+    }
+
+    /// A JSON array with one element per item.
+    fn arr<T>(&mut self, items: impl IntoIterator<Item = T>, mut item: impl FnMut(&mut Self, T)) {
+        self.out.push('[');
+        for (i, x) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            item(self, x);
+        }
+        self.out.push(']');
+    }
+
+    fn pair(&mut self, a: impl Scalar, b: impl Scalar) {
+        self.out.push('[');
+        a.write(self);
+        self.out.push(',');
+        b.write(self);
+        self.out.push(']');
+    }
+
+    fn report(&mut self, r: &RunReport) {
+        self.out.push('{');
+        self.field("schema", SCHEMA_VERSION);
+        self.field("trace_name", r.trace_name.as_str());
+        self.field("policy", entry(r.policy).token);
+        self.field("seed", r.seed);
+        self.key("jobs");
+        self.arr(&r.jobs, Self::job);
+        self.key("summary");
+        self.summary(&r.summary);
+        self.key("gauges");
+        self.gauges(&r.gauges);
+        self.key("counters");
+        self.counters(&r.counters);
+        self.key("reservations");
+        self.reservations(&r.reservations);
+        self.key("node_counters");
+        self.arr(&r.node_counters, Self::node_counters);
+        self.key("events");
+        self.events(&r.events);
+        self.field("finished_at", r.finished_at.as_micros());
+        self.key("run_stats");
+        self.run_stats(&r.run_stats);
+        self.field("unfinished_jobs", r.unfinished_jobs as u64);
+        self.key("faults");
+        self.faults(&r.faults);
+        self.key("audit_violations");
+        self.arr(&r.audit_violations, |w, v| v.as_str().write(w));
+        self.out.push('}');
+    }
+
+    fn job(&mut self, job: &RunningJob) {
+        self.out.push('{');
+        self.key("spec");
+        self.spec(&job.spec);
+        self.field("progress_secs", job.progress_secs);
+        self.key("breakdown");
+        self.breakdown(&job.breakdown);
+        self.field("state", state_token(job.state));
+        self.field("migrations", u64::from(job.migrations));
+        self.field("remote_submitted", job.remote_submitted);
+        self.field("completed_at", job.completed_at.map(SimTime::as_micros));
+        self.field("width", u64::from(job.width));
+        self.out.push('}');
+    }
+
+    fn spec(&mut self, spec: &JobSpec) {
+        self.out.push('{');
+        self.field("id", spec.id.0);
+        self.field("name", spec.name.as_str());
+        self.field("class", class_token(spec.class));
+        self.field("submit", spec.submit.as_micros());
+        self.field("cpu_work", spec.cpu_work.as_micros());
+        self.key("memory");
+        self.arr(spec.memory.phases(), |w, p| {
+            w.pair(p.until_progress.as_micros(), p.working_set.as_u64());
+        });
+        self.field("io_rate", spec.io_rate);
+        self.key("malleable");
+        match spec.malleable {
+            Some(m) => self.pair(u64::from(m.min_width), u64::from(m.max_width)),
+            None => self.out.push_str("null"),
+        }
+        self.out.push('}');
+    }
+
+    fn breakdown(&mut self, b: &TimeBreakdown) {
+        self.out.push('{');
+        self.field("cpu", b.cpu);
+        self.field("page", b.page);
+        self.field("queue", b.queue);
+        self.field("migration", b.migration);
+        self.out.push('}');
+    }
+
+    fn summary(&mut self, s: &WorkloadSummary) {
+        self.out.push('{');
+        self.field("jobs", s.jobs as u64);
+        self.key("totals");
+        self.breakdown(&s.totals);
+        self.field("avg_slowdown", s.avg_slowdown);
+        self.key("slowdown");
+        self.stats_summary(&s.slowdown);
+        self.field("median_slowdown", s.median_slowdown);
+        self.field("p95_slowdown", s.p95_slowdown);
+        self.field("migrations", s.migrations);
+        self.field("remote_submissions", s.remote_submissions);
+        self.out.push('}');
+    }
+
+    fn stats_summary(&mut self, s: &Summary) {
+        self.out.push('{');
+        self.field("count", s.count);
+        self.field("mean", s.mean);
+        self.field("std_dev", s.std_dev);
+        self.field("min", s.min);
+        self.field("max", s.max);
+        self.out.push('}');
+    }
+
+    fn gauges(&mut self, g: &ClusterGauges) {
+        self.out.push('{');
+        for (key, series) in gauge_series(g) {
+            self.key(key);
+            self.arr(series.iter(), |w, (t, v)| w.pair(t.as_micros(), v));
+        }
+        self.out.push('}');
+    }
+
+    fn counters(&mut self, c: &SchedulerCounters) {
+        self.out.push('{');
+        self.field("local_submissions", c.local_submissions);
+        self.field("remote_submissions", c.remote_submissions);
+        self.field("blocked_submissions", c.blocked_submissions);
+        self.field("overload_migrations", c.overload_migrations);
+        self.field("reserved_migrations", c.reserved_migrations);
+        self.field("blocking_detections", c.blocking_detections);
+        self.field("stale_rejections", c.stale_rejections);
+        self.field("suspensions", c.suspensions);
+        self.field("resumes", c.resumes);
+        self.field("grows", c.grows);
+        self.field("shrinks", c.shrinks);
+        self.out.push('}');
+    }
+
+    fn reservations(&mut self, r: &ReservationStats) {
+        self.out.push('{');
+        self.field("started", r.started);
+        self.field("released_after_service", r.released_after_service);
+        self.field("released_unused", r.released_unused);
+        self.field("timed_out", r.timed_out);
+        self.field("jobs_served", r.jobs_served);
+        self.out.push('}');
+    }
+
+    fn node_counters(&mut self, c: &NodeCounters) {
+        self.out.push('{');
+        self.field("delivered_cpu", c.delivered_cpu);
+        self.field("page_stall", c.page_stall);
+        self.field("admitted", c.admitted);
+        self.field("completed", c.completed);
+        self.field("migrated_out", c.migrated_out);
+        self.field("io_ops", c.io_ops);
+        self.out.push('}');
+    }
+
+    fn faults(&mut self, f: &FaultCounters) {
+        self.out.push('{');
+        self.field("crashes", f.crashes);
+        self.field("restarts", f.restarts);
+        self.field("migration_failures", f.migration_failures);
+        self.field("migration_retries", f.migration_retries);
+        self.field("migrations_abandoned", f.migrations_abandoned);
+        self.field("requeued_jobs", f.requeued_jobs);
+        self.field("lost_load_reports", f.lost_load_reports);
+        self.field("stalled_releases", f.stalled_releases);
+        self.out.push('}');
+    }
+
+    fn run_stats(&mut self, s: &RunStats) {
+        self.out.push('{');
+        self.field("events_processed", s.events_processed);
+        self.field("final_time", s.final_time.as_micros());
+        self.field("drained", s.drained);
+        self.out.push('}');
+    }
+
+    /// Each entry is `[time, "kind", job or null, node or null]`.
+    fn events(&mut self, log: &EventLog) {
+        self.arr(log.entries(), |w, e| {
+            w.out.push('[');
+            e.time.as_micros().write(w);
+            // Event-kind tokens need no escaping.
+            w.out.push_str(",\"");
+            w.out.push_str(e.kind.token());
+            w.out.push_str("\",");
+            e.job.map(|JobId(id)| id).write(w);
+            w.out.push(',');
+            e.node.map(|NodeId(id)| u64::from(id)).write(w);
+            w.out.push(']');
+        });
+    }
 }
 
 fn report_from_json(doc: &Json) -> Result<RunReport, String> {
@@ -221,64 +500,15 @@ fn state_from_token(token: &str) -> Result<JobState, String> {
     })
 }
 
-/// Event kinds reuse their `Display` strings; this is the inverse. The
-/// token table is rendered once — event logs hit this for every entry.
+/// The inverse of [`SchedulerEventKind::token`].
 fn event_kind_from_token(token: &str) -> Result<SchedulerEventKind, String> {
-    use std::sync::OnceLock;
-    use SchedulerEventKind::*;
-    static TOKENS: OnceLock<Vec<(String, SchedulerEventKind)>> = OnceLock::new();
-    let tokens = TOKENS.get_or_init(|| {
-        [
-            Submitted,
-            Placed,
-            Blocked,
-            TransitStarted,
-            BlockingDetected,
-            MigrationStarted,
-            MigratedOut,
-            SpecialServiceStarted,
-            Suspended,
-            Resumed,
-            ReservationBegan,
-            ReservationReleased,
-            Completed,
-            NodeCrashed,
-            NodeRestarted,
-            MigrationFailed,
-            Requeued,
-            JobResized,
-        ]
+    SchedulerEventKind::ALL
         .into_iter()
-        .map(|kind| (kind.to_string(), kind))
-        .collect()
-    });
-    tokens
-        .iter()
-        .find(|(text, _)| text == token)
-        .map(|(_, kind)| *kind)
+        .find(|kind| kind.token() == token)
         .ok_or_else(|| format!("unknown event kind {token:?}"))
 }
 
 // ---- jobs ----------------------------------------------------------------
-
-fn job_to_json(job: &RunningJob) -> Json {
-    Json::obj([
-        ("spec", spec_to_json(&job.spec)),
-        ("progress_secs", Json::f64(job.progress_secs)),
-        ("breakdown", breakdown_to_json(&job.breakdown)),
-        ("state", Json::str(state_token(job.state))),
-        ("migrations", Json::U64(u64::from(job.migrations))),
-        ("remote_submitted", Json::Bool(job.remote_submitted)),
-        (
-            "completed_at",
-            match job.completed_at {
-                Some(t) => Json::U64(t.as_micros()),
-                None => Json::Null,
-            },
-        ),
-        ("width", Json::U64(u64::from(job.width))),
-    ])
-}
 
 fn job_from_json(doc: &Json) -> Result<RunningJob, String> {
     Ok(RunningJob {
@@ -299,42 +529,6 @@ fn job_from_json(doc: &Json) -> Result<RunningJob, String> {
         width: u32_field(doc, "width")?,
         phase_memo: Default::default(),
     })
-}
-
-fn spec_to_json(spec: &JobSpec) -> Json {
-    Json::obj([
-        ("id", Json::U64(spec.id.0)),
-        ("name", Json::str(&spec.name)),
-        ("class", Json::str(class_token(spec.class))),
-        ("submit", Json::U64(spec.submit.as_micros())),
-        ("cpu_work", Json::U64(spec.cpu_work.as_micros())),
-        (
-            "memory",
-            Json::Arr(
-                spec.memory
-                    .phases()
-                    .iter()
-                    .map(|p| {
-                        Json::Arr(vec![
-                            Json::U64(p.until_progress.as_micros()),
-                            Json::U64(p.working_set.as_u64()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("io_rate", Json::f64(spec.io_rate)),
-        (
-            "malleable",
-            match spec.malleable {
-                Some(m) => Json::Arr(vec![
-                    Json::U64(u64::from(m.min_width)),
-                    Json::U64(u64::from(m.max_width)),
-                ]),
-                None => Json::Null,
-            },
-        ),
-    ])
 }
 
 fn spec_from_json(doc: &Json) -> Result<JobSpec, String> {
@@ -383,15 +577,6 @@ fn spec_from_json(doc: &Json) -> Result<JobSpec, String> {
     })
 }
 
-fn breakdown_to_json(b: &TimeBreakdown) -> Json {
-    Json::obj([
-        ("cpu", Json::f64(b.cpu)),
-        ("page", Json::f64(b.page)),
-        ("queue", Json::f64(b.queue)),
-        ("migration", Json::f64(b.migration)),
-    ])
-}
-
 fn breakdown_from_json(doc: &Json) -> Result<TimeBreakdown, String> {
     Ok(TimeBreakdown {
         cpu: f64_field(doc, "cpu")?,
@@ -402,19 +587,6 @@ fn breakdown_from_json(doc: &Json) -> Result<TimeBreakdown, String> {
 }
 
 // ---- summary & gauges ----------------------------------------------------
-
-fn summary_to_json(s: &WorkloadSummary) -> Json {
-    Json::obj([
-        ("jobs", Json::U64(s.jobs as u64)),
-        ("totals", breakdown_to_json(&s.totals)),
-        ("avg_slowdown", Json::f64(s.avg_slowdown)),
-        ("slowdown", stats_summary_to_json(&s.slowdown)),
-        ("median_slowdown", Json::f64(s.median_slowdown)),
-        ("p95_slowdown", Json::f64(s.p95_slowdown)),
-        ("migrations", Json::U64(s.migrations)),
-        ("remote_submissions", Json::U64(s.remote_submissions)),
-    ])
-}
 
 fn summary_from_json(doc: &Json) -> Result<WorkloadSummary, String> {
     Ok(WorkloadSummary {
@@ -429,16 +601,6 @@ fn summary_from_json(doc: &Json) -> Result<WorkloadSummary, String> {
     })
 }
 
-fn stats_summary_to_json(s: &Summary) -> Json {
-    Json::obj([
-        ("count", Json::U64(s.count)),
-        ("mean", Json::f64(s.mean)),
-        ("std_dev", Json::f64(s.std_dev)),
-        ("min", Json::f64(s.min)),
-        ("max", Json::f64(s.max)),
-    ])
-}
-
 fn stats_summary_from_json(doc: &Json) -> Result<Summary, String> {
     Ok(Summary {
         count: u64_field(doc, "count")?,
@@ -447,14 +609,6 @@ fn stats_summary_from_json(doc: &Json) -> Result<Summary, String> {
         min: f64_field(doc, "min")?,
         max: f64_field(doc, "max")?,
     })
-}
-
-fn series_to_json(s: &TimeSeries) -> Json {
-    Json::Arr(
-        s.iter()
-            .map(|(t, v)| Json::Arr(vec![Json::U64(t.as_micros()), Json::f64(v)]))
-            .collect(),
-    )
 }
 
 fn series_from_json(doc: &Json, what: &str) -> Result<TimeSeries, String> {
@@ -490,19 +644,6 @@ fn series_from_json(doc: &Json, what: &str) -> Result<TimeSeries, String> {
         .collect()
 }
 
-fn gauges_to_json(g: &ClusterGauges) -> Json {
-    Json::obj([
-        ("idle_memory_mb", series_to_json(&g.idle_memory_mb)),
-        (
-            "physical_idle_memory_mb",
-            series_to_json(&g.physical_idle_memory_mb),
-        ),
-        ("balance_skew", series_to_json(&g.balance_skew)),
-        ("reserved_nodes", series_to_json(&g.reserved_nodes)),
-        ("pending_jobs", series_to_json(&g.pending_jobs)),
-    ])
-}
-
 fn gauges_from_json(doc: &Json) -> Result<ClusterGauges, String> {
     Ok(ClusterGauges {
         idle_memory_mb: series_from_json(field(doc, "idle_memory_mb")?, "idle_memory_mb")?,
@@ -517,22 +658,6 @@ fn gauges_from_json(doc: &Json) -> Result<ClusterGauges, String> {
 }
 
 // ---- counters ------------------------------------------------------------
-
-fn counters_to_json(c: &SchedulerCounters) -> Json {
-    Json::obj([
-        ("local_submissions", Json::U64(c.local_submissions)),
-        ("remote_submissions", Json::U64(c.remote_submissions)),
-        ("blocked_submissions", Json::U64(c.blocked_submissions)),
-        ("overload_migrations", Json::U64(c.overload_migrations)),
-        ("reserved_migrations", Json::U64(c.reserved_migrations)),
-        ("blocking_detections", Json::U64(c.blocking_detections)),
-        ("stale_rejections", Json::U64(c.stale_rejections)),
-        ("suspensions", Json::U64(c.suspensions)),
-        ("resumes", Json::U64(c.resumes)),
-        ("grows", Json::U64(c.grows)),
-        ("shrinks", Json::U64(c.shrinks)),
-    ])
-}
 
 fn counters_from_json(doc: &Json) -> Result<SchedulerCounters, String> {
     Ok(SchedulerCounters {
@@ -550,19 +675,6 @@ fn counters_from_json(doc: &Json) -> Result<SchedulerCounters, String> {
     })
 }
 
-fn reservations_to_json(r: &ReservationStats) -> Json {
-    Json::obj([
-        ("started", Json::U64(r.started)),
-        (
-            "released_after_service",
-            Json::U64(r.released_after_service),
-        ),
-        ("released_unused", Json::U64(r.released_unused)),
-        ("timed_out", Json::U64(r.timed_out)),
-        ("jobs_served", Json::U64(r.jobs_served)),
-    ])
-}
-
 fn reservations_from_json(doc: &Json) -> Result<ReservationStats, String> {
     Ok(ReservationStats {
         started: u64_field(doc, "started")?,
@@ -571,17 +683,6 @@ fn reservations_from_json(doc: &Json) -> Result<ReservationStats, String> {
         timed_out: u64_field(doc, "timed_out")?,
         jobs_served: u64_field(doc, "jobs_served")?,
     })
-}
-
-fn node_counters_to_json(c: &NodeCounters) -> Json {
-    Json::obj([
-        ("delivered_cpu", Json::f64(c.delivered_cpu)),
-        ("page_stall", Json::f64(c.page_stall)),
-        ("admitted", Json::U64(c.admitted)),
-        ("completed", Json::U64(c.completed)),
-        ("migrated_out", Json::U64(c.migrated_out)),
-        ("io_ops", Json::f64(c.io_ops)),
-    ])
 }
 
 fn node_counters_from_json(doc: &Json) -> Result<NodeCounters, String> {
@@ -593,19 +694,6 @@ fn node_counters_from_json(doc: &Json) -> Result<NodeCounters, String> {
         migrated_out: u64_field(doc, "migrated_out")?,
         io_ops: f64_field(doc, "io_ops")?,
     })
-}
-
-fn faults_to_json(f: &FaultCounters) -> Json {
-    Json::obj([
-        ("crashes", Json::U64(f.crashes)),
-        ("restarts", Json::U64(f.restarts)),
-        ("migration_failures", Json::U64(f.migration_failures)),
-        ("migration_retries", Json::U64(f.migration_retries)),
-        ("migrations_abandoned", Json::U64(f.migrations_abandoned)),
-        ("requeued_jobs", Json::U64(f.requeued_jobs)),
-        ("lost_load_reports", Json::U64(f.lost_load_reports)),
-        ("stalled_releases", Json::U64(f.stalled_releases)),
-    ])
 }
 
 fn faults_from_json(doc: &Json) -> Result<FaultCounters, String> {
@@ -621,14 +709,6 @@ fn faults_from_json(doc: &Json) -> Result<FaultCounters, String> {
     })
 }
 
-fn run_stats_to_json(s: &RunStats) -> Json {
-    Json::obj([
-        ("events_processed", Json::U64(s.events_processed)),
-        ("final_time", Json::U64(s.final_time.as_micros())),
-        ("drained", Json::Bool(s.drained)),
-    ])
-}
-
 fn run_stats_from_json(doc: &Json) -> Result<RunStats, String> {
     Ok(RunStats {
         events_processed: u64_field(doc, "events_processed")?,
@@ -640,28 +720,6 @@ fn run_stats_from_json(doc: &Json) -> Result<RunStats, String> {
 }
 
 // ---- events --------------------------------------------------------------
-
-fn events_to_json(log: &EventLog) -> Json {
-    Json::Arr(
-        log.entries()
-            .iter()
-            .map(|e| {
-                Json::Arr(vec![
-                    Json::U64(e.time.as_micros()),
-                    Json::str(e.kind.to_string()),
-                    match e.job {
-                        Some(JobId(id)) => Json::U64(id),
-                        None => Json::Null,
-                    },
-                    match e.node {
-                        Some(NodeId(id)) => Json::U64(u64::from(id)),
-                        None => Json::Null,
-                    },
-                ])
-            })
-            .collect(),
-    )
-}
 
 fn events_from_json(doc: &Json) -> Result<EventLog, String> {
     let entries = doc.as_arr().ok_or("events is not an array")?;
@@ -705,7 +763,7 @@ mod tests {
     fn sample_report() -> RunReport {
         let spec = JobSpec {
             id: JobId(3),
-            name: "mcf".into(),
+            name: "mcf \"β\" \\ \u{7}".into(),
             class: JobClass::CpuMemoryIntensive,
             submit: SimTime::from_secs(5),
             cpu_work: SimSpan::from_secs(120),
@@ -758,11 +816,16 @@ mod tests {
         gauges.idle_memory_mb.push(SimTime::from_secs(1), 100.5);
         gauges.idle_memory_mb.push(SimTime::from_secs(2), 99.25);
         gauges.balance_skew.push(SimTime::from_secs(1), 0.1);
+        // The smallest subnormal.
+        gauges
+            .balance_skew
+            .push(SimTime::from_secs(2), f64::from_bits(1));
         gauges.pending_jobs.push(SimTime::from_secs(1), 2.0);
+        // `physical_idle_memory_mb` and `reserved_nodes` stay empty.
 
         let summary = WorkloadSummary::of_jobs(std::iter::once(&job));
         RunReport {
-            trace_name: "Round-Trip".into(),
+            trace_name: "Round-Trip \"π\" \\ \u{1}\t".into(),
             policy: PolicyKind::VReconfiguration,
             seed: u64::MAX - 1,
             jobs: vec![job],
@@ -779,7 +842,7 @@ mod tests {
                 suspensions: 8,
                 resumes: 9,
                 grows: 10,
-                shrinks: 11,
+                shrinks: u64::MAX,
             },
             reservations: ReservationStats {
                 started: 1,
@@ -788,14 +851,26 @@ mod tests {
                 timed_out: 0,
                 jobs_served: 1,
             },
-            node_counters: vec![NodeCounters {
-                delivered_cpu: 120.0,
-                page_stall: 3.5,
-                admitted: 1,
-                completed: 1,
-                migrated_out: 0,
-                io_ops: 30.0,
-            }],
+            // Each infinity sits between two writes of one finite value, so
+            // a float memo that leaked across a sentinel would show.
+            node_counters: vec![
+                NodeCounters {
+                    delivered_cpu: 120.0,
+                    page_stall: f64::INFINITY,
+                    admitted: 1,
+                    completed: 1,
+                    migrated_out: 0,
+                    io_ops: 120.0,
+                },
+                NodeCounters {
+                    delivered_cpu: -0.0,
+                    page_stall: f64::NEG_INFINITY,
+                    admitted: 0,
+                    completed: 0,
+                    migrated_out: 0,
+                    io_ops: -0.0,
+                },
+            ],
             events,
             finished_at: SimTime::from_secs_f64(145.875),
             run_stats: RunStats {
@@ -814,7 +889,7 @@ mod tests {
                 lost_load_reports: 4,
                 stalled_releases: 5,
             },
-            audit_violations: vec!["example \"violation\"\nwith newline".into()],
+            audit_violations: vec!["example \"violation\"\nwith newline, \\, \u{1f} and ü".into()],
         }
     }
 
@@ -824,8 +899,43 @@ mod tests {
         let text = encode_report(&report);
         let decoded = decode_report(&text).unwrap();
         assert_eq!(decoded, report);
-        // Re-encoding the decoded report is byte-identical.
+        // Re-encoding the decoded report is byte-identical, which also
+        // tells -0.0 from 0.0.
         assert_eq!(encode_report(&decoded), text);
+        // The writer's bytes are the generic renderer's canonical form.
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        for fragment in [
+            "\"page_stall\":\"inf\",\"admitted\":1,\"completed\":1,\"migrated_out\":0,\"io_ops\":120.0}",
+            "\"delivered_cpu\":-0.0,\"page_stall\":\"-inf\"",
+            "[2000000,5e-324]",
+            "\"shrinks\":18446744073709551615}",
+            "\"physical_idle_memory_mb\":[]",
+            "\"trace_name\":\"Round-Trip \\\"π\\\" \\\\ \\u0001\\t\"",
+        ] {
+            assert!(text.contains(fragment), "{fragment} missing from {text}");
+        }
+
+        // NaN != NaN under the report's `PartialEq`, so check its text.
+        let mut report = report;
+        report.jobs[0].spec.io_rate = f64::NAN;
+        let text = encode_report(&report);
+        assert!(text.contains("\"io_rate\":\"NaN\""), "{text}");
+        assert!(decode_report(&text).unwrap().jobs[0].spec.io_rate.is_nan());
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+    }
+
+    #[test]
+    fn every_event_kind_round_trips_through_its_token() {
+        for (i, kind) in SchedulerEventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL lists kinds in declaration order");
+            let token = kind.token();
+            assert!(
+                token.bytes().all(|b| b.is_ascii_lowercase() || b == b'-'),
+                "{token:?} would need escaping"
+            );
+            assert_eq!(event_kind_from_token(token), Ok(kind));
+        }
+        assert!(event_kind_from_token("bogus").is_err());
     }
 
     #[test]
@@ -841,6 +951,7 @@ mod tests {
         let decoded = decode_report(&text).unwrap();
         assert_eq!(decoded, report);
         assert_eq!(encode_report(&decoded), text);
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
     }
 
     #[test]

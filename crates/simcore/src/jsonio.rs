@@ -1,10 +1,15 @@
-//! A minimal, dependency-free JSON document model.
+//! A minimal, dependency-free JSON document model and its write primitives.
 //!
 //! The build environment has no registry access, so the workspace's `serde`
 //! is a no-op stand-in (see `compat/README.md`) and on-disk formats are
-//! hand-rolled. This module provides the document model behind the result
-//! cache and the sweep benchmark record: a [`Json`] tree, a writer, and a
-//! recursive-descent parser.
+//! hand-rolled. This module provides a [`Json`] tree with a writer and a
+//! recursive-descent parser, which the trace, bench and `/stats` records
+//! and the result cache's reads use, plus the three primitives that write a
+//! JSON value without building a tree: [`write_u64`], [`write_f64`] and
+//! [`write_str`].
+//! [`Json::render`] writes every number and string through them, and so
+//! does `vrecon::encode_report`, which writes run reports straight into one
+//! buffer; both therefore follow one number rule and one escape rule.
 //!
 //! Two properties are load-bearing for the content-addressed result cache:
 //!
@@ -143,39 +148,33 @@ impl Json {
     pub fn f64(x: f64) -> Json {
         if x.is_finite() {
             Json::F64(x)
-        } else if x.is_nan() {
-            Json::str("NaN")
-        } else if x > 0.0 {
-            Json::str("inf")
         } else {
-            Json::str("-inf")
+            Json::str(non_finite_token(x))
         }
     }
 
     /// Serializes the document compactly (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, &mut F64Memo::default());
         out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut String, memo: &mut F64Memo) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::F64(x) => write_f64(*x, out),
-            Json::Str(s) => write_string(s, out),
+            Json::U64(n) => write_u64(*n, out),
+            Json::F64(x) => write_f64(*x, memo, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write(out, memo);
                 }
                 out.push(']');
             }
@@ -185,9 +184,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write(out, memo);
                 }
                 out.push('}');
             }
@@ -211,15 +210,70 @@ impl Json {
     }
 }
 
-/// Writes a float in Rust's shortest round-trip form. The `{:?}` formatter
-/// always keeps a `.0` or an exponent on whole values, so the token remains
-/// lexically a float and re-parses into `Json::F64`, never `Json::U64`.
-fn write_f64(x: f64, out: &mut String) {
-    debug_assert!(x.is_finite(), "non-finite floats use Json::f64");
-    let _ = write!(out, "{x:?}");
+/// The sentinel string that stands for a non-finite float.
+fn non_finite_token(x: f64) -> &'static str {
+    if x.is_nan() {
+        "NaN"
+    } else if x > 0.0 {
+        "inf"
+    } else {
+        "-inf"
+    }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `n` in decimal, without going through `fmt`.
+pub fn write_u64(n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// The last finite float [`write_f64`] formatted, keyed by its bits.
+///
+/// Gauge series mostly repeat their previous sample, so one entry turns a
+/// run of equal values into one format and many copies. Keep one memo per
+/// document being written.
+#[derive(Debug, Default)]
+pub struct F64Memo {
+    bits: Option<u64>,
+    text: String,
+}
+
+/// Appends a float as [`Json::f64`] renders it: a finite value in Rust's
+/// shortest round-trip form, a non-finite one as its quoted sentinel
+/// (`"NaN"`, `"inf"`, `"-inf"`). The `{:?}` formatter always keeps a `.0`
+/// or an exponent on whole values, so the token remains lexically a float
+/// and re-parses into `Json::F64`, never `Json::U64`. Sentinels bypass the
+/// memo.
+pub fn write_f64(x: f64, memo: &mut F64Memo, out: &mut String) {
+    if !x.is_finite() {
+        out.push('"');
+        out.push_str(non_finite_token(x));
+        out.push('"');
+        return;
+    }
+    let bits = x.to_bits();
+    if memo.bits != Some(bits) {
+        memo.text.clear();
+        let _ = write!(memo.text, "{x:?}");
+        memo.bits = Some(bits);
+    }
+    out.push_str(&memo.text);
+}
+
+/// Appends `s` as a quoted JSON string: `"` and `\` are escaped, `\n`,
+/// `\r` and `\t` get their short escapes, other control characters a
+/// `\u00XX` escape, and every other character is copied as is.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -537,5 +591,33 @@ mod tests {
         let text = s.render();
         assert_eq!(text, "\"\\u0001\"");
         assert_eq!(Json::parse(&text).unwrap(), s);
+    }
+
+    #[test]
+    fn write_primitives_match_fmt_and_keep_the_memo_to_finite_values() {
+        let mut out = String::new();
+        for n in [0, 9, 10, 1_234_567_890, u64::MAX] {
+            out.clear();
+            write_u64(n, &mut out);
+            assert_eq!(out, n.to_string());
+        }
+        // A sentinel between two equal finite values must not disturb the
+        // memo, and equal-valued floats with different bits must not share it.
+        let mut memo = F64Memo::default();
+        out.clear();
+        for x in [
+            2.5,
+            f64::INFINITY,
+            2.5,
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::NEG_INFINITY,
+            0.0,
+        ] {
+            write_f64(x, &mut memo, &mut out);
+            out.push(' ');
+        }
+        assert_eq!(out, "2.5 \"inf\" 2.5 \"NaN\" -0.0 0.0 \"-inf\" 0.0 ");
     }
 }
